@@ -18,7 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
-from .lacore import LinAlgFailure, LowRankMatrix, sparse_spd_factorize
+from .lacore import (
+    LinAlgFailure,
+    LowRankMatrix,
+    lowrank_norm,
+    sparse_spd_factorize,
+    truncated_svd,
+)
 from .reformulate import build_sylvester_problem, time_difference_matrix
 from .skpik import SolveReport, factored_residual
 
@@ -67,15 +73,6 @@ class LowRankVector:
         return cls(LowRankMatrix.zero(n, m_t), LowRankMatrix.zero(n, m_t))
 
 
-def lowrank_norm(x: LowRankMatrix) -> float:
-    """Frobenius norm of the represented matrix, computed from the factors."""
-    if x.rank == 0:
-        return 0.0
-    c1 = np.linalg.qr(x.left, mode="r")
-    c2 = np.linalg.qr(x.right, mode="r")
-    return float(np.linalg.norm(c1 @ c2.T))
-
-
 def _block_inner(a: LowRankMatrix, b: LowRankMatrix) -> float:
     if a.rank == 0 or b.rank == 0:
         return 0.0
@@ -87,50 +84,24 @@ def lowrank_inner(x: LowRankVector, y: LowRankVector) -> float:
     return _block_inner(x.yblk, y.yblk) + _block_inner(x.lblk, y.lblk)
 
 
-def _truncate_block(
-    x: LowRankMatrix, trunc_tol: float, k_max: int | None, input_scale: float
+def _block_axpy(
+    x: LowRankMatrix, y: LowRankMatrix, alpha: float, trunc_tol: float, k_max
 ) -> LowRankMatrix:
-    """SVD recompression: relative tail rule, hard rank cap, zero detection.
+    """x + alpha*y through :func:`truncated_svd` with a rank cap, plus zero detection.
 
     A result whose total mass is at round-off level relative to the
     inputs that formed it is an exact cancellation and collapses to rank
     zero.
     """
-    if x.rank == 0:
-        return x
-    ql, cl = np.linalg.qr(x.left)
-    qr_, cr = np.linalg.qr(x.right)
-    u, s, vt = np.linalg.svd(cl @ cr.T)
-    total = float(np.linalg.norm(s))
-    if total == 0.0 or total <= 64.0 * _EPS * input_scale:
-        return LowRankMatrix.zero(*x.shape)
-    if trunc_tol > 0:
-        rank = len(s)
-        budget = trunc_tol * total
-        tail = 0.0
-        for k in range(len(s), 0, -1):
-            tail_next = np.hypot(tail, s[k - 1])
-            if tail_next > budget:
-                rank = k
-                break
-            tail = tail_next
-        else:
-            rank = 0
-    else:
-        rank = int(np.count_nonzero(s > 0))
-    if k_max is not None:
-        rank = min(rank, k_max)
-    return LowRankMatrix(ql @ u[:, :rank], qr_ @ (vt[:rank].T * s[:rank]))
-
-
-def _block_axpy(
-    x: LowRankMatrix, y: LowRankMatrix, alpha: float, trunc_tol: float, k_max
-) -> LowRankMatrix:
     scale = lowrank_norm(x) + abs(alpha) * lowrank_norm(y)
     combined = LowRankMatrix(
         np.hstack([x.left, y.left]), np.hstack([x.right, alpha * y.right])
     )
-    return _truncate_block(combined, trunc_tol, k_max, scale)
+    out = truncated_svd(combined, trunc_tol, k_max)
+    # the left factor is orthonormal, so the right one carries the norm
+    if np.linalg.norm(out.right) <= 64.0 * _EPS * scale:
+        return LowRankMatrix.zero(*combined.shape)
+    return out
 
 
 def lowrank_axpy_truncate(
@@ -360,7 +331,7 @@ def lrminres_solve(
     n, m_t = ops.n, grid.m_t
     tau = grid.tau
 
-    if yd_lowrank.rank == 0 or lowrank_norm(yd_lowrank) == 0.0:
+    if lowrank_norm(yd_lowrank) == 0.0:
         report = SolveReport(
             method="lrminres",
             converged=True,
@@ -385,9 +356,7 @@ def lrminres_solve(
             bottom = z.lblk
         else:
             dense = schur.solve_mat(z.lblk.to_dense()) / beta
-            bottom = _truncate_block(
-                LowRankMatrix(dense, np.eye(m_t)), trunc_tol, k_max, float(np.linalg.norm(dense))
-            )
+            bottom = truncated_svd(LowRankMatrix(dense, np.eye(m_t)), trunc_tol, k_max)
         return LowRankVector(top, bottom)
 
     rhs = LowRankVector(
@@ -400,10 +369,7 @@ def lrminres_solve(
     def stop_fn(zx: LowRankVector, relres: float) -> bool:
         if relres > tol:
             return False
-        x1, x2 = combined_solution_factors(zx)
-        candidate = _truncate_block(
-            LowRankMatrix(x1, x2), trunc_tol, None, lowrank_norm(LowRankMatrix(x1, x2))
-        )
+        candidate = truncated_svd(LowRankMatrix(*combined_solution_factors(zx)), trunc_tol)
         res = factored_residual(candidate.left, candidate.right, problem)
         if res < best["res"]:
             best.update(x=candidate, res=res)
@@ -422,10 +388,7 @@ def lrminres_solve(
         stop_fn=stop_fn,
     )
     if best["x"] is None:
-        x1, x2 = combined_solution_factors(z)
-        xc = _truncate_block(
-            LowRankMatrix(x1, x2), trunc_tol, None, lowrank_norm(LowRankMatrix(x1, x2))
-        )
+        xc = truncated_svd(LowRankMatrix(*combined_solution_factors(z)), trunc_tol)
         res = factored_residual(xc.left, xc.right, problem)
     else:
         xc, res = best["x"], best["res"]
@@ -487,8 +450,7 @@ def fminres_solve(
         format="csr",
     )
     m_fact = sparse_spd_factorize(mass)
-    nhat = (nmat + (tau / np.sqrt(beta)) * mass).tocsr()
-    nhat_fact = sparse_spd_factorize(nhat)
+    nhat_fact = build_schur_hat(ops, config, grid).d_fact
 
     def apply_prec(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)

@@ -65,10 +65,6 @@ CSV_HEADER = [
     "converged",
 ]
 
-# test hook: flipping this sabotages the verification pipeline on purpose
-_VERIFY_CORRUPT = False
-
-
 class UsageError(Exception):
     pass
 
@@ -300,6 +296,15 @@ def _validate_sweep_spec(spec: dict):
         raise UsageError("sweep spec needs non-empty 'sigmas', 'betas', and 'mts'")
     if bool(meshes) == bool(dirs):
         raise UsageError("sweep spec needs exactly one of 'meshes' or 'matrix_dirs'")
+    example = spec.get("example", "ex1")
+    if example not in ("ex1", "ex2", "file"):
+        raise UsageError(f"unknown example {example!r} in sweep spec")
+    if dirs and example != "file":
+        raise UsageError(
+            "'matrix_dirs' carry no node coordinates; use \"example\": \"file\" and 'yd_file'"
+        )
+    if example == "file" and not spec.get("yd_file"):
+        raise UsageError("\"example\": \"file\" needs a 'yd_file' path")
     if any(s < 0 for s in sigmas):
         raise UsageError("sweep sigmas must be nonnegative")
     if any(b <= 0 for b in betas):
@@ -326,11 +331,16 @@ def _sweep_points(spec: dict):
             "trunc_tol": float(spec.get("trunc_tol", 1e-10)),
             "max_it": int(spec.get("max_it", 500)),
             "example": spec.get("example", "ex1"),
+            "yd_file": spec.get("yd_file"),
         }
 
 
-def _run_sweep_point(point: dict) -> list:
-    """One sweep point; returns a CSV row. Failures become non-converged rows."""
+def _run_sweep_point(point: dict) -> tuple[list, str | None]:
+    """One sweep point; returns its CSV row and, if it failed, the reason.
+
+    A failed point becomes a non-converged row; the reason reads
+    ``method source mT sigma beta: ExceptionClass: message``.
+    """
     ns = argparse.Namespace(
         mT=point["mT"],
         sigma=point["sigma"],
@@ -342,15 +352,20 @@ def _run_sweep_point(point: dict) -> list:
         trunc_tol=point["trunc_tol"],
         max_it=point["max_it"],
         example=point["example"],
-        yd_file=None,
+        yd_file=point["yd_file"],
         mesh=point["source"][1] if point["source"][0] == "mesh" else None,
         matrices=point["source"][1] if point["source"][0] == "dir" else None,
     )
     try:
         ops, config, grid, yd = _build_problem_data(ns)
         row, _, _ = _solve_point(point["method"], ops, config, grid, yd)
-    except (UsageError, ValueError, LinAlgFailure, MatrixMarketError, OSError):
+    except (UsageError, ValueError, LinAlgFailure, MatrixMarketError, OSError) as exc:
         # failed points stay in the CSV as non-converged rows
+        kind, source = point["source"]
+        reason = (
+            f"{point['method']} {kind}={source} {point['mT']} {point['sigma']!r} "
+            f"{point['beta']!r}: {type(exc).__name__}: {exc}"
+        )
         return [
             point["method"],
             "",
@@ -362,7 +377,7 @@ def _run_sweep_point(point: dict) -> list:
             "",
             "",
             "false",
-        ]
+        ], reason
     return [
         row["method"],
         row["n"],
@@ -374,7 +389,7 @@ def _run_sweep_point(point: dict) -> list:
         repr(row["seconds"]),
         repr(row["residual"]),
         "true" if row["converged"] else "false",
-    ]
+    ], None
 
 
 def cmd_sweep(args) -> int:
@@ -389,10 +404,14 @@ def cmd_sweep(args) -> int:
     points = list(_sweep_points(spec))
     jobs = max(1, args.jobs)
     if jobs == 1:
-        rows = [_run_sweep_point(p) for p in points]
+        results = [_run_sweep_point(p) for p in points]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_sweep_point, points))
+            results = list(pool.map(_run_sweep_point, points))
+    rows = [row for row, _ in results]
+    for _, reason in results:
+        if reason is not None:
+            print(reason, file=sys.stderr)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -419,7 +438,7 @@ def _scalar_instance():
     return ops, config, grid, yd
 
 
-def run_verify(n: int = 25, m_t: int = 4, corrupt: bool = False):
+def run_verify(n: int = 25, m_t: int = 4):
     """Cross-check the low-rank pipeline against dense solves.
 
     Returns (ok, checks) where checks is a list of (name, value, limit)
@@ -441,8 +460,6 @@ def run_verify(n: int = 25, m_t: int = 4, corrupt: bool = False):
     checks = []
     yd_lr = lowrank_desired(yd, config.trunc_tol)
     problem = build_sylvester_problem(ops, config, grid, yd_lr)
-    if corrupt:
-        problem.r2 = -problem.r2  # sabotage hook used by the tests
 
     kkt2 = assemble_kkt_dense(ops, config, grid, yd)
     y_ref, u_ref, lam_ref = solve_kkt_dense(kkt2, config.beta)
@@ -500,7 +517,7 @@ def run_verify(n: int = 25, m_t: int = 4, corrupt: bool = False):
 
 
 def cmd_verify(args) -> int:
-    ok, checks = run_verify(args.n, args.mT, corrupt=_VERIFY_CORRUPT)
+    ok, checks = run_verify(args.n, args.mT)
     for name, value, limit in checks:
         status = "PASS" if value <= limit else "FAIL"
         print(f"{name}: {value:.3e} (limit {limit:.0e}) {status}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import LowRankMatrix
+from .lacore import LowRankMatrix, truncated_svd
 
 __all__ = [
     "Mesh2D",
@@ -272,21 +272,8 @@ def sample_desired_state(example: str, mesh: Mesh2D, grid: TimeGrid, values=None
 def lowrank_desired(yd: np.ndarray, tol: float) -> LowRankMatrix:
     """Minimal-rank factorization of the target with relative error <= tol.
 
-    Singular values are discarded greedily from the tail while the
-    Frobenius norm of the remainder stays within ``tol`` times the norm
-    of the input.
+    The target is truncated by :func:`~eddyopt.lacore.truncated_svd`
+    with relative tail ``tol``.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     yd = np.asarray(yd, dtype=float)
-    u, s, vt = np.linalg.svd(yd, full_matrices=False)
-    total = np.linalg.norm(s)
-    if total == 0.0:
-        return LowRankMatrix.zero(*yd.shape)
-    # smallest rank whose discarded tail stays within the relative budget
-    rank = len(s)
-    for k in range(len(s) + 1):
-        if np.linalg.norm(s[k:]) <= tol * total:
-            rank = k
-            break
-    return LowRankMatrix(u[:, :rank] * s[:rank], vt[:rank].T.copy())
+    return truncated_svd(LowRankMatrix(yd, np.eye(yd.shape[1])), tol)

@@ -1,8 +1,9 @@
 """Dense and sparse linear-algebra kernels shared by the solvers.
 
-Block Gram-Schmidt with deflation, truncated SVD of factored matrices,
-real Schur form, a dense Sylvester solve, sparse SPD/LU factorizations
-behind one interface, and Matrix Market I/O.
+Block Gram-Schmidt with deflation, the one truncation rule and the
+Frobenius norm of factored matrices, real Schur form, a dense Sylvester
+solve, sparse SPD/LU factorizations behind one interface, and Matrix
+Market I/O.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "MatrixMarketError",
     "LowRankMatrix",
     "mgs_orthonormalize",
+    "lowrank_norm",
     "truncated_svd",
     "real_schur",
     "quasi_triangular_eigenvalues",
@@ -139,24 +141,38 @@ def mgs_orthonormalize(block, against=None, drop_tol: float = DEFLATION_RTOL):
     return np.column_stack(kept)
 
 
-def truncated_svd(x: LowRankMatrix, tol: float) -> LowRankMatrix:
-    """Recompress a factored matrix, dropping singular values below ``tol``.
+def lowrank_norm(x: LowRankMatrix) -> float:
+    """Frobenius norm of the represented matrix, computed from the factors."""
+    if x.rank == 0:
+        return 0.0
+    c1 = np.linalg.qr(x.left, mode="r")
+    c2 = np.linalg.qr(x.right, mode="r")
+    return float(np.linalg.norm(c1 @ c2.T))
 
-    Skinny QR of both factors followed by an SVD of the small core; the
-    returned left factor has orthonormal columns and the scale lives in
-    the right factor.  The threshold on singular values is absolute.
+
+def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) -> LowRankMatrix:
+    """Recompress a factored matrix to the smallest rank within ``rtol``.
+
+    Skinny QR of both factors followed by an SVD of the small core.  The
+    rule keeps the smallest rank k whose discarded tail satisfies
+    ||s[k:]||_2 <= rtol ||s||_2, so that ||X - X_k||_F <= rtol ||X||_F;
+    ``rtol = 0`` keeps every nonzero singular value.  ``max_rank`` caps
+    k after the rule.  The returned left factor has orthonormal columns
+    and the scale lives in the right factor.
     """
-    if tol < 0:
+    if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
     if x.rank == 0:
         return x
     ql, cl = np.linalg.qr(x.left)
     qr_, cr = np.linalg.qr(x.right)
     u, s, vt = np.linalg.svd(cl @ cr.T)
-    k = int(np.count_nonzero(s >= tol))
-    left = ql @ u[:, :k]
-    right = qr_ @ (vt[:k].T * s[:k])
-    return LowRankMatrix(left, right)
+    # tail[k] = ||s[k:]||_2, accumulated by hypot so it neither over- nor underflows
+    tail = np.hypot.accumulate(s[::-1])[::-1]
+    k = int(np.count_nonzero(tail > rtol * tail[0]))
+    if max_rank is not None:
+        k = min(k, max_rank)
+    return LowRankMatrix(ql @ u[:, :k], qr_ @ (vt[:k].T * s[:k]))
 
 
 def real_schur(a):

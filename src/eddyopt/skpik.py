@@ -25,6 +25,7 @@ from .lacore import (
     LowRankMatrix,
     StagnationError,
     SylvesterConditionError,
+    lowrank_norm,
     mgs_orthonormalize,
     real_schur,
     truncated_svd,
@@ -229,25 +230,6 @@ class KpikState:
         return (self.left.dim, self.right.dim)
 
 
-def _rhs_core_norm(r1: np.ndarray, r2: np.ndarray) -> float:
-    if r1.shape[1] == 0:
-        return 0.0
-    c1 = np.linalg.qr(r1, mode="r")
-    c2 = np.linalg.qr(r2, mode="r")
-    return float(np.linalg.norm(c1 @ c2.T))
-
-
-def _compress(x1: np.ndarray, x2: np.ndarray, trunc_tol: float) -> LowRankMatrix:
-    """Recompress factors, thresholding relative to the leading singular value."""
-    x = LowRankMatrix(x1, x2)
-    if trunc_tol == 0.0 or x.rank == 0:
-        return truncated_svd(x, 0.0)
-    c1 = np.linalg.qr(x1, mode="r")
-    c2 = np.linalg.qr(x2, mode="r")
-    lead = float(np.linalg.svd(c1 @ c2.T, compute_uv=False)[0])
-    return truncated_svd(x, trunc_tol * lead)
-
-
 def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem) -> float:
     """Relative Frobenius residual of a factored candidate solution.
 
@@ -262,7 +244,7 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
         x1 = x1[:, None]
     if x2.ndim == 1:
         x2 = x2[:, None]
-    den = _rhs_core_norm(problem.r1, problem.r2)
+    den = lowrank_norm(LowRankMatrix(problem.r1, problem.r2))
     if x1.shape[1] == 0 or x2.shape[1] == 0:
         return 1.0 if den > 0 else 0.0
     left_parts = [problem.apply_a(x1), x1]
@@ -270,11 +252,7 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
     if problem.r1.shape[1]:
         left_parts.append(-problem.r1)
         right_parts.append(problem.r2)
-    left = np.column_stack(left_parts)
-    right = np.column_stack(right_parts)
-    core_l = np.linalg.qr(left, mode="r")
-    core_r = np.linalg.qr(right, mode="r")
-    num = float(np.linalg.norm(core_l @ core_r.T))
+    num = lowrank_norm(LowRankMatrix(np.column_stack(left_parts), np.column_stack(right_parts)))
     if den == 0.0:
         return num
     return num / den
@@ -329,13 +307,14 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
         state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
 
     z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
-    # W spans the numerical row space of z only (the rank threshold of
-    # numpy.linalg.matrix_rank): the dropped directions are rounding
-    # noise, and every column of W is a column in each residual evaluation
-    z_left, z_sv, z_right = np.linalg.svd(z, full_matrices=False)
-    rank = int(np.count_nonzero(z_sv > z_sv[0] * max(z.shape) * np.finfo(float).eps))
-    state.right = _RowSpace(z_right[:rank].T)
-    state.y = z_left[:, :rank] * z_sv[:rank]
+    # z^T = W y^T with W orthonormal.  W spans the numerical row space of
+    # z only (cut at the scale of numpy.linalg.matrix_rank's threshold):
+    # the dropped directions are rounding noise, and every column of W is
+    # a column in each residual evaluation
+    noise = max(z.shape) * np.finfo(float).eps
+    zt = truncated_svd(LowRankMatrix(z.T, np.eye(z.shape[0])), noise)
+    state.right = _RowSpace(zt.left)
+    state.y = zt.right
     res = factored_residual(state.left.basis @ state.y, state.right.basis, problem)
     state.residual_history.append(res)
     state.sweeps += 1
@@ -351,7 +330,8 @@ def skpik_solve(
     """Run the projection iteration until the factored residual meets tol.
 
     Convergence is certified on the recompressed candidate: once the raw
-    Galerkin iterate passes the tolerance, its truncated-SVD compression
+    Galerkin iterate passes the tolerance, its compression by
+    :func:`~eddyopt.lacore.truncated_svd` with relative tail ``trunc_tol``
     must pass as well, otherwise sweeping continues.  On hitting
     ``max_sweeps`` (or a stagnated space) the best iterate is returned
     and the converged flag reflects its actual residual; there is no
@@ -360,7 +340,7 @@ def skpik_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     start = time.perf_counter()
-    if problem.r1.shape[1] == 0 or _rhs_core_norm(problem.r1, problem.r2) == 0.0:
+    if lowrank_norm(LowRankMatrix(problem.r1, problem.r2)) == 0.0:
         x = LowRankMatrix.zero(problem.n, 2 * problem.m_t)
         report = SolveReport(
             method="skpik",
@@ -387,7 +367,9 @@ def skpik_solve(
             stagnated = True
             break
         if state.residual_history[-1] <= tol:
-            candidate = _compress(state.left.basis @ state.y, state.right.basis, trunc_tol)
+            candidate = truncated_svd(
+                LowRankMatrix(state.left.basis @ state.y, state.right.basis), trunc_tol
+            )
             res = factored_residual(candidate.left, candidate.right, problem)
             if res <= tol:
                 converged = True
@@ -399,7 +381,9 @@ def skpik_solve(
             x = LowRankMatrix.zero(problem.n, 2 * problem.m_t)
             final_res = 1.0
         else:
-            x = _compress(state.left.basis @ state.y, state.right.basis, trunc_tol)
+            x = truncated_svd(
+                LowRankMatrix(state.left.basis @ state.y, state.right.basis), trunc_tol
+            )
             final_res = factored_residual(x.left, x.right, problem)
             # a stagnated space can still have landed inside the tolerance
             converged = final_res <= tol

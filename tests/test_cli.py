@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -226,15 +227,60 @@ def test_sweep_invalid_spec_exits_one(tmp_path, capsys):
 def test_sweep_partial_failure_records_row(tmp_path):
     spec = tmp_path / "spec.json"
     out = tmp_path / "rows.csv"
-    # one good mesh and one bogus import directory: the bad point becomes a
-    # non-converged row and the sweep carries on
+    # a bogus import directory: its points become non-converged rows and the
+    # sweep carries on
     _write_spec(
         spec, methods=["skpik"], meshes=[], matrix_dirs=[str(tmp_path / "nope")],
+        example="file", yd_file=str(tmp_path / "target.txt"),
     )
     assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert all(line.endswith("false") for line in lines[1:])
+
+
+def test_sweep_failure_reason_goes_to_stderr(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    nope = tmp_path / "nope"
+    _write_spec(
+        spec, methods=["skpik"], betas=[1e-2], meshes=[], matrix_dirs=[str(nope)],
+        example="file", yd_file=str(tmp_path / "target.txt"),
+    )
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        f"skpik dir={nope} 2 1.0 0.01: UsageError: "
+        f"--matrices {nope}: expected M.mtx and K.mtx"
+    ]
+    lines = out.read_text().strip().splitlines()
+    assert lines == [",".join(cli.CSV_HEADER), "skpik,,2,1.0,0.01,,,,,false"]
+
+
+def test_sweep_matrix_dirs_with_target_file_converges(tmp_path):
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "3", "--out", str(opsdir))
+    yd_file = tmp_path / "target.txt"
+    np.savetxt(yd_file, np.outer(np.linspace(0.0, 1.0, 16), [1.0, 0.5]))
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    _write_spec(
+        spec, methods=["skpik"], betas=[1e-2], meshes=[], matrix_dirs=[str(opsdir)],
+        example="file", yd_file=str(yd_file),
+    )
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert row[:5] == ["skpik", "16", "2", "1.0", "0.01"]
+    assert float(row[8]) <= 1e-6 and row[9] == "true"
+
+
+def test_sweep_matrix_dirs_need_target_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    for example, extra in (("ex1", {"yd_file": "t.txt"}), ("file", {})):
+        _write_spec(spec, meshes=[], matrix_dirs=[str(tmp_path)], example=example, **extra)
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
@@ -271,7 +317,13 @@ def test_verify_scalar_instance_exact():
 
 
 def test_verify_corrupted_solver_fails(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_VERIFY_CORRUPT", True)
+    build = cli.build_sylvester_problem
+
+    def corrupted(*args):
+        p = build(*args)
+        return dataclasses.replace(p, r2=-p.r2)
+
+    monkeypatch.setattr(cli, "build_sylvester_problem", corrupted)
     assert run_cli("verify", "--n", "9", "--mT", "2") == 1
     assert "FAIL" in capsys.readouterr().out
 

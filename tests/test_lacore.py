@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eddyopt.lacore import (
     LowRankMatrix,
@@ -122,22 +124,73 @@ def test_truncated_svd_against_dense_svd_oracle():
     assert np.linalg.norm(out.left.T @ out.left - np.eye(out.rank)) <= 1e-12
 
 
-def test_truncated_svd_threshold_is_absolute():
+def test_truncated_svd_threshold_is_relative():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((20, 4)))[0]
     v = np.linalg.qr(rng.standard_normal((15, 4)))[0]
     svals = np.array([3.0, 1.0, 1e-7, 1e-13])
-    x = LowRankMatrix(u * svals, v)
-    out = truncated_svd(x, 1e-10)
-    core = np.linalg.svd(out.to_dense(), compute_uv=False)
-    kept = core[core > 0]
-    assert np.all(kept[:3] >= 1e-10) and out.rank == 3
+    for scale in (1.0, 1e-12, 1e12):
+        out = truncated_svd(LowRankMatrix(u * (scale * svals), v), 1e-10)
+        assert out.rank == 3
+        assert np.allclose(np.linalg.norm(out.right, axis=0), scale * svals[:3])
 
 
-def test_truncated_svd_rank_zero_passthrough():
-    x = LowRankMatrix.zero(6, 4)
-    out = truncated_svd(x, 1e-10)
-    assert out.rank == 0 and out.shape == (6, 4)
+@st.composite
+def _factored(draw):
+    """A random factored matrix whose column scales span fourteen decades."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 6))
+    exps = draw(st.lists(st.integers(-14, 0), min_size=r, max_size=r))
+    zeros = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = np.where(zeros, 0.0, 10.0 ** np.array(exps, dtype=float))
+    return LowRankMatrix(rng.standard_normal((n, r)) * scales, rng.standard_normal((m, r)))
+
+
+_rtols = st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 0.1, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_factored(), rtol=_rtols)
+def test_truncated_svd_rule_is_minimal_within_bound(x, rtol):
+    out = truncated_svd(x, rtol)
+    dense = x.to_dense()
+    s = np.linalg.svd(dense, compute_uv=False)
+    total = np.linalg.norm(s)
+    slack = 1e-12 * total
+    # error bound: ||X - X_k||_F <= rtol ||X||_F
+    assert np.linalg.norm(dense - out.to_dense()) <= rtol * total + slack
+    # minimality: rank k - 1 breaks the bound
+    if out.rank > 0:
+        assert np.linalg.norm(s[out.rank - 1 :]) > rtol * total - slack
+    # orthonormal left factor
+    assert np.linalg.norm(out.left.T @ out.left - np.eye(out.rank)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_factored(), rtol=_rtols, cap=st.integers(0, 6))
+def test_truncated_svd_max_rank_caps_the_rule(x, rtol, cap):
+    free = truncated_svd(x, rtol)
+    capped = truncated_svd(x, rtol, max_rank=cap)
+    assert capped.rank == min(free.rank, cap)
+    assert np.allclose(capped.to_dense(), free.left[:, :cap] @ free.right[:, :cap].T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_factored(), rtol=_rtols, power=st.integers(-40, 40))
+def test_truncated_svd_rank_is_scale_invariant(x, rtol, power):
+    scaled = LowRankMatrix(x.left * 2.0**power, x.right)
+    assert truncated_svd(scaled, rtol).rank == truncated_svd(x, rtol).rank
+
+
+@given(
+    n=st.integers(0, 6), m=st.integers(0, 6), rtol=_rtols,
+    cap=st.none() | st.integers(0, 3),
+)
+def test_truncated_svd_rank_zero_passthrough(n, m, rtol, cap):
+    out = truncated_svd(LowRankMatrix.zero(n, m), rtol, cap)
+    assert out.rank == 0 and out.shape == (n, m)
 
 
 # ---------------------------------------------------------------------------
