@@ -200,7 +200,9 @@ def _minres(b, apply_op, apply_prec, inner, add, scale, zero, tol, max_it, stop_
     ``add(x, y, a)`` must return x + a*y, ``scale(x, c)`` returns c*x,
     ``zero()`` the zero vector.  Convergence uses the preconditioner-norm
     residual estimate unless ``stop_fn(x, relres)`` takes over.  Returns
-    (x, history, iterations, converged).
+    (x, history, iterations, stop reason), the reason being
+    ``"converged"``, ``"krylov_exhausted"`` (the Lanczos weight beta
+    reached 0 first) or ``"max_it"``.
     """
     x = zero()
     r1 = b
@@ -211,7 +213,7 @@ def _minres(b, apply_op, apply_prec, inner, add, scale, zero, tol, max_it, stop_
     beta1 = np.sqrt(beta1_sq)
     history: list[float] = []
     if beta1 == 0.0:
-        return x, history, 0, True
+        return x, history, 0, "converged"
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -222,7 +224,7 @@ def _minres(b, apply_op, apply_prec, inner, add, scale, zero, tol, max_it, stop_
     w = zero()
     w2 = zero()
     r2 = r1
-    converged = False
+    reason = "max_it"
     itn = 0
     while itn < max_it:
         itn += 1
@@ -257,17 +259,14 @@ def _minres(b, apply_op, apply_prec, inner, add, scale, zero, tol, max_it, stop_
         x = add(x, w, phi)
         relres = phibar / beta1
         history.append(relres)
-        if stop_fn is not None:
-            if stop_fn(x, relres):
-                converged = True
-                break
-        elif relres <= tol:
-            converged = True
+        done = relres <= tol if stop_fn is None else stop_fn(x, relres)
+        if done:
+            reason = "converged"
             break
-        if beta == 0.0:  # Krylov space exhausted
-            converged = converged or relres <= tol
+        if beta == 0.0:
+            reason = "krylov_exhausted"
             break
-    return x, history, itn, converged
+    return x, history, itn, reason
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,7 @@ def lrminres_solve(
             rank=0,
             seconds=time.perf_counter() - start,
             absolute_residual=True,
-            extra={"solution": LowRankMatrix.zero(n, 2 * m_t)},
+            extra={"solution": LowRankMatrix.zero(n, 2 * m_t), "stop_reason": "converged"},
         )
         return LowRankVector.zero(n, m_t), report
 
@@ -375,7 +374,7 @@ def lrminres_solve(
             best.update(x=candidate, res=res)
         return res <= tol
 
-    z, history, itn, converged = _minres(
+    z, history, itn, reason = _minres(
         rhs,
         op.apply,
         apply_prec,
@@ -392,6 +391,8 @@ def lrminres_solve(
         res = factored_residual(xc.left, xc.right, problem)
     else:
         xc, res = best["x"], best["res"]
+    if res <= tol:  # the last candidate can certify after the MINRES estimate missed
+        reason = "converged"
     report = SolveReport(
         method="lrminres",
         converged=res <= tol,
@@ -400,7 +401,7 @@ def lrminres_solve(
         rank=xc.rank,
         seconds=time.perf_counter() - start,
         residual_history=history,
-        extra={"solution": xc},
+        extra={"solution": xc, "stop_reason": reason},
     )
     return z, report
 
@@ -471,7 +472,7 @@ def fminres_solve(
             counts.append(0)
             final_res.append(0.0)
             continue
-        x, history, itn, converged = _minres(
+        x, history, itn, reason = _minres(
             rhs,
             lambda v: a_step @ v,
             apply_prec,
@@ -482,7 +483,7 @@ def fminres_solve(
             tol,
             max_it,
         )
-        if not converged:
+        if reason != "converged":
             raise FminresStepError(step + 1, history[-1] if history else np.inf)
         y_traj[:, step] = x[:n]
         u_traj[:, step] = x[n : 2 * n]
@@ -499,6 +500,7 @@ def fminres_solve(
         seconds=time.perf_counter() - start,
         residual_history=final_res,
         extra={
+            "stop_reason": "converged",
             "step_iterations": counts,
             "control": u_traj,
             "multiplier": lam_traj,

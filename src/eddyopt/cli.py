@@ -29,7 +29,6 @@ from .discretize import (
 )
 from .lacore import (
     LinAlgFailure,
-    MatrixMarketError,
     mm_read,
     mm_write,
     mm_write_dense,
@@ -228,6 +227,7 @@ def _solve_point(method: str, ops, config, grid, yd):
         "residual": report.residual,
         "converged": bool(report.converged),
         "subspace": list(report.subspace) if report.subspace else None,
+        "stop_reason": report.extra["stop_reason"],
         "tol": config.tol,
         "trunc_tol": config.trunc_tol,
     }
@@ -359,7 +359,7 @@ def _run_sweep_point(point: dict) -> tuple[list, str | None]:
     try:
         ops, config, grid, yd = _build_problem_data(ns)
         row, _, _ = _solve_point(point["method"], ops, config, grid, yd)
-    except (UsageError, ValueError, LinAlgFailure, MatrixMarketError, OSError) as exc:
+    except (UsageError, ValueError, LinAlgFailure, OSError) as exc:
         # failed points stay in the CSV as non-converged rows
         kind, source = point["source"]
         reason = (
@@ -538,13 +538,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, MatrixMarketError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except LinAlgFailure as exc:
+    except (UsageError, ValueError, LinAlgFailure, OSError) as exc:
+        # MatrixMarketError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

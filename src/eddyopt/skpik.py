@@ -5,10 +5,12 @@ from the left right-hand-side factor with A and its inverse.  The
 projected equation T_a Z + Z B = (U^T R1) R2^T keeps the small, sparse
 time coupling B whole and is solved exactly by one shifted banded
 system (theta I + B^T) per Ritz value theta of T_a = U^T A U, so the
-sweep count does not grow with the number of time steps.  Every sweep
-monitors the factored residual, so the full solution matrix is never
-formed.  The final iterate is recompressed by a truncated SVD of its
-factors.
+sweep count does not grow with the number of time steps.  The iterate
+is X = U Z.  Every sweep monitors the projected residual of the Galerkin
+iterate, (I - U U^T) A U Z, from quantities the sweep already holds, so
+the full solution matrix is never formed.  The final iterate is
+recompressed by a truncated SVD of its factors, and only those returned
+factors are certified by :func:`factored_residual`.
 """
 
 from __future__ import annotations
@@ -111,17 +113,6 @@ class _ExtendedBasis:
         return new
 
 
-@dataclass
-class _RowSpace:
-    """Orthonormal basis W of the time-side row space of the iterate."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 class TimeSideSolver:
     """Exact solver for T Z + Z B = C with a small dense T and the sparse B.
 
@@ -208,26 +199,26 @@ class KpikState:
 
     Holds the left extended Krylov basis U with the projected operator
     t_a = U^T A U, its cached image A U and the projected right-hand-side
-    factor U^T R1; the time-side solver; and the current iterate
-    X = U y W^T, where W (``right``) is an orthonormal basis of the
-    numerical row space of the projected solution Z = y W^T.  W spans R2
-    before the first sweep.  The recorded residual history sits next to
-    them.
+    factor U^T R1; the time-side solver; the norm of R1 R2^T; and the
+    solution z of the projected equation, so that the iterate is
+    X = U z.  The history of projected residuals, relative to the norm
+    of R1 R2^T, sits next to them.
     """
 
     left: _ExtendedBasis
-    right: _RowSpace
     time_side: TimeSideSolver
     t_a: np.ndarray
     r1_proj: np.ndarray
     a_on_basis: np.ndarray
-    y: np.ndarray | None = None
+    rhs_norm: float
+    z: np.ndarray | None = None
     sweeps: int = 0
     residual_history: list[float] = field(default_factory=list)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.left.dim, self.right.dim)
+        """(dim U, 2 m_t): the time side is the whole axis."""
+        return (self.left.dim, self.time_side.perm.size)
 
 
 def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem) -> float:
@@ -262,7 +253,7 @@ def skpik_init(problem: SylvesterProblem) -> KpikState:
     """Seed the extended Krylov basis and the projected data.
 
     The left basis spans the orthonormalized [R1, A^{-1} R1], with
-    dependent directions deflated; the right basis spans R2.
+    dependent directions deflated.
     """
     if problem.r1.shape[1] == 0:
         raise ValueError("the right-hand side has rank zero; nothing to iterate on")
@@ -270,21 +261,12 @@ def skpik_init(problem: SylvesterProblem) -> KpikState:
     a_on_basis = problem.apply_a(left.basis)
     return KpikState(
         left=left,
-        right=_RowSpace(mgs_orthonormalize(problem.r2)),
         time_side=TimeSideSolver(problem.b_matrix),
         t_a=left.basis.T @ a_on_basis,
         r1_proj=left.basis.T @ problem.r1,
         a_on_basis=a_on_basis,
+        rhs_norm=lowrank_norm(LowRankMatrix(problem.r1, problem.r2)),
     )
-
-
-def _grow_projection(t, basis_old, on_basis_old, new_cols, applied_new):
-    """Extend U^T Op U when ``new_cols`` joins the basis; returns (t, cache)."""
-    top_right = basis_old.T @ applied_new
-    bottom_left = new_cols.T @ on_basis_old
-    bottom_right = new_cols.T @ applied_new
-    t_new = np.block([[t, top_right], [bottom_left, bottom_right]])
-    return t_new, np.hstack([on_basis_old, applied_new])
 
 
 def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
@@ -292,31 +274,29 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
 
     The projected equation T_a Z + Z B = (U^T R1) R2^T is solved exactly
     in time, so the Galerkin condition U^T R = 0 holds on the whole time
-    axis.  Raises :class:`StagnationError` when the left space has
-    closed after a projected solution already exists, since no further
-    progress is possible.
+    axis and the residual of X = U z is (I - U U^T) A U z.  Its norm is
+    recorded relative to that of R1 R2^T.  Raises
+    :class:`StagnationError` when the left space has closed after a
+    projected solution already exists, since no further progress is
+    possible.
     """
-    left_old = state.left.basis
+    u_old = state.left.basis
     u_new = state.left.extend()
-    if u_new.shape[1] == 0 and state.y is not None:
+    if u_new.shape[1] == 0 and state.z is not None:
         raise StagnationError("the extended Krylov space is exhausted without convergence")
     if u_new.shape[1]:
-        state.t_a, state.a_on_basis = _grow_projection(
-            state.t_a, left_old, state.a_on_basis, u_new, problem.apply_a(u_new)
+        a_new = problem.apply_a(u_new)
+        state.t_a = np.block(
+            [[state.t_a, u_old.T @ a_new], [u_new.T @ state.a_on_basis, u_new.T @ a_new]]
         )
+        state.a_on_basis = np.hstack([state.a_on_basis, a_new])
         state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
 
-    z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
-    # z^T = W y^T with W orthonormal.  W spans the numerical row space of
-    # z only (cut at the scale of numpy.linalg.matrix_rank's threshold):
-    # the dropped directions are rounding noise, and every column of W is
-    # a column in each residual evaluation
-    noise = max(z.shape) * np.finfo(float).eps
-    zt = truncated_svd(LowRankMatrix(z.T, np.eye(z.shape[0])), noise)
-    state.right = _RowSpace(zt.left)
-    state.y = zt.right
-    res = factored_residual(state.left.basis @ state.y, state.right.basis, problem)
-    state.residual_history.append(res)
+    state.z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
+    # relies on R1 in range(U): R1 is the seed block, up to the 1e-12 deflation tolerance
+    r = np.linalg.qr(state.a_on_basis - state.left.basis @ state.t_a, mode="r")
+    res = float(np.linalg.norm(r @ state.z))
+    state.residual_history.append(res / state.rhs_norm if state.rhs_norm else res)
     state.sweeps += 1
     return state
 
@@ -327,18 +307,22 @@ def skpik_solve(
     trunc_tol: float = 1e-10,
     max_sweeps: int = 500,
 ) -> tuple[LowRankMatrix, SolveReport]:
-    """Run the projection iteration until the factored residual meets tol.
+    """Run the projection iteration until the certified residual meets tol.
 
-    Convergence is certified on the recompressed candidate: once the raw
-    Galerkin iterate passes the tolerance, its compression by
+    Each sweep monitors the projected residual.  Once it passes the
+    tolerance, the iterate is compressed by
     :func:`~eddyopt.lacore.truncated_svd` with relative tail ``trunc_tol``
-    must pass as well, otherwise sweeping continues.  On hitting
-    ``max_sweeps`` (or a stagnated space) the best iterate is returned
-    and the converged flag reflects its actual residual; there is no
-    silent success.
+    and :func:`factored_residual` certifies the compressed factors; if
+    they fail, sweeping continues.  On hitting ``max_sweeps`` or a
+    closed space the last iterate is compressed and certified the same
+    way, and the converged flag reflects its certified residual; there
+    is no silent success.  ``extra["stop_reason"]`` is ``"converged"``,
+    ``"max_sweeps"`` or ``"space_exhausted"``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     start = time.perf_counter()
     if lowrank_norm(LowRankMatrix(problem.r1, problem.r2)) == 0.0:
         x = LowRankMatrix.zero(problem.n, 2 * problem.m_t)
@@ -352,50 +336,36 @@ def skpik_solve(
             residual_history=[],
             subspace=(0, 0),
             absolute_residual=True,
+            extra={"stop_reason": "converged"},
         )
         return x, report
 
     state = skpik_init(problem)
-    converged = False
-    stagnated = False
-    x = None
-    final_res = np.inf
-    for _ in range(max_sweeps):
+    while True:
         try:
             skpik_sweep(state, problem)
+            exhausted = False
         except StagnationError:
-            stagnated = True
-            break
-        if state.residual_history[-1] <= tol:
-            candidate = truncated_svd(
-                LowRankMatrix(state.left.basis @ state.y, state.right.basis), trunc_tol
-            )
-            res = factored_residual(candidate.left, candidate.right, problem)
-            if res <= tol:
-                converged = True
-                x = candidate
-                final_res = res
+            exhausted = True
+        last = exhausted or state.sweeps == max_sweeps
+        if last or state.residual_history[-1] <= tol:
+            x = truncated_svd(LowRankMatrix(state.left.basis, state.z.T), trunc_tol)
+            res = factored_residual(x.left, x.right, problem)
+            if res <= tol or last:
                 break
-    if x is None:
-        if state.y is None:  # stagnated before the first projected solve
-            x = LowRankMatrix.zero(problem.n, 2 * problem.m_t)
-            final_res = 1.0
-        else:
-            x = truncated_svd(
-                LowRankMatrix(state.left.basis @ state.y, state.right.basis), trunc_tol
-            )
-            final_res = factored_residual(x.left, x.right, problem)
-            # a stagnated space can still have landed inside the tolerance
-            converged = final_res <= tol
+    if res <= tol:
+        stop_reason = "converged"
+    else:
+        stop_reason = "space_exhausted" if exhausted else "max_sweeps"
     report = SolveReport(
         method="skpik",
-        converged=converged,
+        converged=res <= tol,
         iterations=state.sweeps,
-        residual=final_res,
+        residual=res,
         rank=x.rank,
         seconds=time.perf_counter() - start,
         residual_history=list(state.residual_history),
         subspace=state.dims,
-        extra={"stagnated": stagnated} if stagnated else {},
+        extra={"stop_reason": stop_reason},
     )
     return x, report

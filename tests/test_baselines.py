@@ -154,6 +154,7 @@ def test_lrminres_zero_target():
     assert report.converged
     assert report.iterations == 0
     assert lowrank_norm(z.yblk) == 0.0
+    assert report.extra["stop_reason"] == "converged"
 
 
 def test_lrminres_matches_dense_oracle_tiny():
@@ -161,6 +162,7 @@ def test_lrminres_matches_dense_oracle_tiny():
     yd_lr = lowrank_desired(yd, 1e-12)
     z, report = lrminres_solve(ops, config, grid, yd_lr, tol=1e-6)
     assert report.converged
+    assert report.extra["stop_reason"] == "converged"
     assert report.residual <= 1e-6
     y_o, u_o, lam_o = solve_kkt2(
         ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
@@ -170,6 +172,28 @@ def test_lrminres_matches_dense_oracle_tiny():
     lam_scaled = z.lblk.to_dense()  # stores multiplier / sqrt(beta)
     assert np.linalg.norm(y_got - y_o) <= 1e-5 * np.linalg.norm(y_o)
     assert np.linalg.norm(np.sqrt(config.beta) * lam_scaled - lam_o) <= 1e-5 * np.linalg.norm(lam_o)
+
+
+def test_lrminres_stop_reason_max_it():
+    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2)
+    yd_lr = lowrank_desired(yd, 1e-12)
+    _, report = lrminres_solve(ops, config, grid, yd_lr, tol=1e-6, max_it=1)
+    assert not report.converged
+    assert report.iterations == 1
+    assert report.extra["stop_reason"] == "max_it"
+
+
+def test_lrminres_stop_reason_krylov_exhausted():
+    # one unknown and one time step: the Krylov space has dimension two,
+    # and a tolerance below rounding level cannot be certified on it
+    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    grid = TimeGrid(1)
+    yd_lr = lowrank_desired(np.ones((1, 1)), 1e-14)
+    _, report = lrminres_solve(_identity_ops(1), config, grid, yd_lr, tol=1e-30)
+    assert not report.converged
+    assert report.iterations == 2
+    assert report.residual <= 1e-14
+    assert report.extra["stop_reason"] == "krylov_exhausted"
 
 
 def test_lrminres_truncation_free_matches_dense_minres_iterates():
@@ -233,6 +257,7 @@ def test_fminres_single_step_matches_dense_oracle():
     ops, config, grid, yd = _mesh_setup(cells=4, m_t=1, sigma=1.0, beta=1e-2)
     y, report = fminres_solve(ops, config, grid, yd, tol=1e-10)
     assert report.converged
+    assert report.extra["stop_reason"] == "converged"
     y_o, u_o, _ = solve_kkt2(
         ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
         grid.tau, config.beta, yd,
@@ -284,7 +309,7 @@ def test_minres_history_monotone_in_preconditioner_norm():
         return out
 
     rhs = np.concatenate([tau * (ops.mass @ yd[:, 0]), np.zeros(2 * n)])
-    _, history, _, converged = _minres(
+    _, history, _, reason = _minres(
         rhs,
         lambda v: a_step @ v,
         prec,
@@ -295,7 +320,7 @@ def test_minres_history_monotone_in_preconditioner_norm():
         1e-10,
         200,
     )
-    assert converged
+    assert reason == "converged"
     assert all(b <= a * (1 + 1e-14) for a, b in zip(history, history[1:]))
 
 

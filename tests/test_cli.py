@@ -55,8 +55,10 @@ def test_solve_skpik_json_and_factors(tmp_path, capsys):
     row = json.loads(out.read_text())
     assert row["schema_version"] == 1
     assert row["converged"] is True
+    assert row["stop_reason"] == "converged"
     assert row["residual"] <= 1e-6
     assert row["rank"] >= 1
+    assert row["subspace"][1] == 2 * 16
     # the stored factors reproduce the reported residual exactly
     x1 = mm_read_dense(tmp_path / "res.X1.mtx")
     x2 = mm_read_dense(tmp_path / "res.X2.mtx")
@@ -111,11 +113,13 @@ def test_solve_usage_errors_exit_one(capsys):
 
 
 def test_solve_nonconvergence_exits_two(tmp_path):
+    out = tmp_path / "res.json"
     code = run_cli(
         "solve", "--method", "skpik", "--mesh", "8", "--mT", "8",
-        "--sigma", "1e-4", "--beta", "1e-6", "--max-it", "1",
+        "--sigma", "1e-4", "--beta", "1e-6", "--max-it", "1", "--out", str(out),
     )
     assert code == 2
+    assert json.loads(out.read_text())["stop_reason"] == "max_sweeps"
 
 
 def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
@@ -125,6 +129,7 @@ def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
             "--tol", "1e-10"]
     assert run_cli("solve", "--method", "skpik", *args, "--out", str(out_a)) == 0
     assert run_cli("solve", "--method", "fminres", *args, "--out", str(out_b)) == 0
+    assert json.loads(out_b.read_text())["stop_reason"] == "converged"
     x1 = mm_read_dense(tmp_path / "a.X1.mtx")
     x2 = mm_read_dense(tmp_path / "a.X2.mtx")
     x = x1 @ x2.T

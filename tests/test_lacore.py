@@ -91,6 +91,46 @@ def test_mgs_invariants_random(seed, shape):
     assert np.linalg.norm(kept) <= 1e-10 * np.linalg.norm(block)
 
 
+@st.composite
+def _spanned_block(draw):
+    """(against, block, r): r random directions scaled over six decades.
+
+    ``against`` is an orthonormal basis of the first a directions, and
+    ``block`` holds the other r - a directions followed by exact linear
+    combinations of all r, scaled copies and zero columns.
+    """
+    n = draw(st.integers(1, 16))
+    r = draw(st.integers(0, min(n, 5)))
+    a = draw(st.integers(0, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3.0, 3.0, r)
+    extra = [base @ rng.standard_normal((r, draw(st.integers(0, 3))))]
+    if r:
+        extra.append(-2.5 * base[:, rng.integers(r, size=draw(st.integers(0, 2)))])
+    extra.append(np.zeros((n, draw(st.integers(0, 2)))))
+    dependent = np.hstack(extra)
+    dependent = dependent[:, rng.permutation(dependent.shape[1])]
+    against = np.linalg.qr(base[:, :a])[0] if a else None
+    return against, np.hstack([base[:, a:], dependent]), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_spanned_block())
+def test_mgs_property_orthonormal_spanning_and_deflating(case):
+    against, block, r = case
+    q = mgs_orthonormalize(block, against=against)
+    # dependent columns are dropped: exactly the new directions survive
+    a = 0 if against is None else against.shape[1]
+    assert q.shape == (block.shape[0], r - a)
+    assert np.linalg.norm(q.T @ q - np.eye(r - a)) <= 1e-12
+    full = q if against is None else np.hstack([against, q])
+    if against is not None:
+        assert np.linalg.norm(against.T @ q) <= 1e-12
+    # the span of the result (with ``against``) contains every input column
+    outside = block - full @ (full.T @ block)
+    assert np.linalg.norm(outside) <= 1e-12 * max(np.linalg.norm(block), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # truncated SVD of factored matrices
 
@@ -446,3 +486,66 @@ def test_mm_dense_roundtrip(tmp_path):
     mm_write_dense(path, a)
     back = mm_read_dense(path)
     assert np.array_equal(back, a)
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _sparse(draw, symmetric=False):
+    rows = draw(st.integers(0, 7))
+    cols = rows if symmetric else draw(st.integers(0, 7))
+    dense = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(i + 1 if symmetric else cols):
+            if draw(st.booleans()):
+                dense[i, j] = draw(_reals)
+    if symmetric:
+        dense = np.tril(dense) + np.tril(dense, -1).T
+    return dense
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense=_sparse())
+def test_mm_property_general_roundtrip_is_exact(tmp_path_factory, dense):
+    path = tmp_path_factory.mktemp("mm") / "a.mtx"
+    mm_write(path, sp.csr_matrix(dense))
+    back = mm_read(path)
+    assert back.shape == dense.shape
+    assert np.array_equal(back.toarray(), dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense=_sparse(symmetric=True))
+def test_mm_property_symmetric_file_expands_and_roundtrips(tmp_path_factory, dense):
+    # lower-triangle storage, as other tools write symmetric operators
+    low = sp.coo_matrix(np.tril(dense))
+    path = tmp_path_factory.mktemp("mm") / "sym.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        f"{dense.shape[0]} {dense.shape[1]} {low.nnz}\n"
+        + "".join(f"{i + 1} {j + 1} {float(v)!r}\n" for i, j, v in zip(low.row, low.col, low.data))
+    )
+    full = mm_read(path)
+    assert np.array_equal(full.toarray(), dense)
+    # the expanded matrix goes back out as a general file and reads the same
+    mm_write(path, full)
+    assert np.array_equal(mm_read(path).toarray(), dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dense=st.integers(0, 6).flatmap(
+        lambda rows: st.integers(0, 6).flatmap(
+            lambda cols: st.lists(_reals, min_size=rows * cols, max_size=rows * cols).map(
+                lambda vals: np.array(vals, dtype=float).reshape((rows, cols))
+            )
+        )
+    )
+)
+def test_mm_property_dense_roundtrip_is_exact(tmp_path_factory, dense):
+    path = tmp_path_factory.mktemp("mm") / "d.mtx"
+    mm_write_dense(path, dense)
+    back = mm_read_dense(path)
+    assert back.shape == dense.shape
+    assert np.array_equal(back, dense)

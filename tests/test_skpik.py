@@ -11,7 +11,7 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import LowRankMatrix, SylvesterConditionError
+from eddyopt.lacore import LowRankMatrix, StagnationError, SylvesterConditionError
 from eddyopt.reformulate import (
     assemble_kkt_dense,
     build_B,
@@ -83,11 +83,8 @@ def test_init_span_contains_rhs_factor():
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
     u = state.left.basis
-    w = state.right.basis
     assert np.linalg.norm(problem.r1 - u @ (u.T @ problem.r1)) <= 1e-12
-    assert np.linalg.norm(problem.r2 - w @ (w.T @ problem.r2)) <= 1e-12
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12
-    assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def test_sweep_scalar_closed_form_first_sweep_exact():
     problem = _problem(ops, config, grid, np.array([[target]]))
     state = skpik_init(problem)
     skpik_sweep(state, problem)
-    x = state.left.basis @ state.y @ state.right.basis.T
+    x = state.left.basis @ state.z
     assert np.allclose(x, [[0.1 * target, 0.3 * target]], atol=1e-12)
     assert state.residual_history[-1] <= 1e-12
     # oracle: the vectorized solve of the same equation
@@ -155,8 +152,6 @@ def test_sweep_scalar_closed_form_first_sweep_exact():
 
 
 def test_sweep_raises_on_exhausted_spaces():
-    from eddyopt.lacore import StagnationError
-
     # identity operators on a single unknown: both spaces close at once
     ops = _identity_ops(1)
     config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
@@ -177,19 +172,29 @@ def test_zero_rhs_returns_zero_factors_no_sweeps():
     assert report.iterations == 0
     assert report.converged
     assert report.absolute_residual
+    assert report.extra["stop_reason"] == "converged"
 
 
-def test_recorded_history_equals_factored_residual():
-    ops, config, grid, yd = _mesh_problem(cells=3, m_t=3, sigma=0.5, beta=0.01)
+@pytest.mark.parametrize(
+    "cells, m_t, sigma, beta",
+    [(2, 2, 1.0, 1.0), (3, 3, 0.5, 0.01), (4, 5, 1e-4, 1e-6), (5, 4, 1e4, 1e-3)],
+)
+def test_recorded_history_matches_dense_residual(cells, m_t, sigma, beta):
+    # the projected residual recorded per sweep is the true residual of U z
+    ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
     problem = _problem(ops, config, grid, yd)
+    a_dense = _dense_a(ops, problem.shift)
+    b_dense = problem.b_matrix.toarray()
+    r_dense = problem.r1 @ problem.r2.T
     state = skpik_init(problem)
     for _ in range(4):
-        skpik_sweep(state, problem)
-        recomputed = factored_residual(
-            state.left.basis @ state.y, state.right.basis, problem
-        )
-        recorded = state.residual_history[-1]
-        assert abs(recorded - recomputed) <= 1e-13 * max(recomputed, 1e-300)
+        try:
+            skpik_sweep(state, problem)
+        except StagnationError:
+            break
+        x = state.left.basis @ state.z
+        dense = np.linalg.norm(a_dense @ x + x @ b_dense - r_dense) / np.linalg.norm(r_dense)
+        assert abs(state.residual_history[-1] - dense) <= 1e-13
 
 
 def test_sweep_galerkin_orthogonality_and_nesting():
@@ -202,11 +207,10 @@ def test_sweep_galerkin_orthogonality_and_nesting():
     prev_u = state.left.basis.copy()
     for _ in range(3):
         skpik_sweep(state, problem)
-        u, w = state.left.basis, state.right.basis
+        u = state.left.basis
         assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
-        assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) <= 1e-10
-        xt = u @ state.y @ w.T
-        projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense) @ w
+        xt = u @ state.z
+        projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
         assert np.linalg.norm(projected) <= 1e-10 * np.linalg.norm(r_dense)
         # nesting: the previous space sits inside the new one
         assert np.linalg.norm(prev_u - u @ (u.T @ prev_u)) <= 1e-12
@@ -222,7 +226,6 @@ def test_subspace_growth_bound():
     for m in range(1, 5):
         skpik_sweep(state, problem)
         assert state.left.dim <= 2 * r * (m + 1)
-        assert state.right.dim <= 2 * r * (m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +293,27 @@ def test_solve_nonconvergence_flag_on_sweep_budget():
     assert not report.converged
     assert report.iterations == 1
     assert report.residual > 0
+    assert report.extra["stop_reason"] == "max_sweeps"
+
+
+def test_solve_rejects_empty_sweep_budget():
+    ops, config, grid, yd = _mesh_problem()
+    problem = _problem(ops, config, grid, yd)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        skpik_solve(problem, max_sweeps=0)
+
+
+def test_solve_stop_reason_space_exhausted():
+    # a 4-node mesh: the left space closes within a few sweeps, and a
+    # tolerance below rounding level cannot be met on it
+    ops, config, grid, yd = _mesh_problem(cells=1, m_t=2, sigma=1.0, beta=0.5)
+    problem = _problem(ops, config, grid, yd)
+    x, report = skpik_solve(problem, tol=1e-30, trunc_tol=1e-14, max_sweeps=50)
+    assert not report.converged
+    assert report.extra["stop_reason"] == "space_exhausted"
+    assert report.iterations < 50
+    assert report.subspace[0] <= ops.n
+    assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
 
 
 def test_report_fields_consistent():
@@ -297,9 +321,11 @@ def test_report_fields_consistent():
     problem = _problem(ops, config, grid, yd)
     x, report = skpik_solve(problem, tol=1e-8, trunc_tol=1e-12)
     assert report.converged
+    assert report.extra["stop_reason"] == "converged"
     assert report.residual <= 1e-8
     assert report.rank == x.rank
-    assert report.subspace is not None and all(d > 0 for d in report.subspace)
+    assert report.subspace == (report.subspace[0], 2 * grid.m_t)
+    assert report.subspace[0] > 0
     # the reported residual is exactly the factored residual of the stored x
     assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
     assert len(report.residual_history) == report.iterations
@@ -376,7 +402,7 @@ def test_sweep_galerkin_condition_holds_on_whole_time_axis():
     for _ in range(2):
         skpik_sweep(state, problem)
         u = state.left.basis
-        xt = u @ state.y @ state.right.basis.T
+        xt = u @ state.z
         projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
         assert np.linalg.norm(projected) <= 1e-10 * np.linalg.norm(r_dense)
 
