@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import LowRankMatrix, truncated_svd
+from .lacore import LowRankMatrix, lowrank_from_dense
 
 __all__ = [
     "Mesh2D",
@@ -272,8 +272,8 @@ def sample_desired_state(example: str, mesh: Mesh2D, grid: TimeGrid, values=None
 def lowrank_desired(yd: np.ndarray, tol: float) -> LowRankMatrix:
     """Minimal-rank factorization of the target with relative error <= tol.
 
-    The target is truncated by :func:`~eddyopt.lacore.truncated_svd`
-    with relative tail ``tol``.
+    :func:`~eddyopt.lacore.lowrank_from_dense` compresses the table to
+    ||Yd - L R^T||_F <= tol ||Yd||_F at a cost that scales with its
+    rank; full-rank tables and ``tol = 0`` take the exact truncated SVD.
     """
-    yd = np.asarray(yd, dtype=float)
-    return truncated_svd(LowRankMatrix(yd, np.eye(yd.shape[1])), tol)
+    return lowrank_from_dense(yd, tol)

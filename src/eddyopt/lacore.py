@@ -1,9 +1,9 @@
 """Dense and sparse linear-algebra kernels shared by the solvers.
 
 Block Gram-Schmidt with deflation, the one truncation rule and the
-Frobenius norm of factored matrices, real Schur form, a dense Sylvester
-solve, sparse SPD/LU factorizations behind one interface, and Matrix
-Market I/O.
+Frobenius norm of factored matrices, rank-adaptive compression of a
+dense table, real Schur form, a dense Sylvester solve, sparse SPD/LU
+factorizations behind one interface, and Matrix Market I/O.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "mgs_orthonormalize",
     "lowrank_norm",
     "truncated_svd",
+    "lowrank_from_dense",
     "real_schur",
     "quasi_triangular_eigenvalues",
     "solve_sylvester_dense",
@@ -41,6 +42,13 @@ __all__ = [
 # drop a column when its post-projection norm falls below this fraction
 # of its original norm
 DEFLATION_RTOL = 1e-12
+
+# columns of the first random test block of the range finder; each round doubles it
+RANGE_BLOCK = 8
+# the range finder stops once its residual is this fraction of the allowed error
+RANGE_BUDGET_FRACTION = 0.1
+# a range wider than this fraction of min(n, m) is not cheaper than the exact path
+RANGE_CAP_FRACTION = 0.25
 
 
 class LinAlgFailure(RuntimeError):
@@ -173,6 +181,56 @@ def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) ->
     if max_rank is not None:
         k = min(k, max_rank)
     return LowRankMatrix(ql @ u[:, :k], qr_ @ (vt[:k].T * s[:k]))
+
+
+def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
+    """Compress a dense table to the smallest rank within ``rtol``, at a cost set by its rank.
+
+    Returns factors with ||A - L R^T||_F <= rtol ||A||_F, the bound of
+    :func:`truncated_svd`, which also supplies the rule.  An adaptive
+    randomized range finder (Halko, Martinsson & Tropp 2011, SIAM Rev.
+    53) grows an orthonormal Q by Gaussian blocks of doubling width
+    until the explicitly formed E = A - Q Q^T A meets a tenth of the
+    allowed error, or a block deflates to nothing.  Q Q^T A is then
+    truncated with the error budget E leaves over; since E is
+    orthogonal to range(Q) the two errors add in squares.  The Gaussian
+    draws come from a fixed seed, so repeated calls return identical
+    factors.  ``rtol = 0``, non-finite tables and tables whose range
+    would pass a quarter of min(n, m) columns before meeting the bound
+    take the exact path, ``truncated_svd(LowRankMatrix(a, I), rtol)``.
+    """
+    if rtol < 0:
+        raise ValueError("truncation tolerance must be nonnegative")
+    a = np.asarray(a, dtype=float)
+    n, m = a.shape
+    norm_a = float(np.linalg.norm(a))
+    if norm_a == 0.0:
+        return LowRankMatrix.zero(n, m)
+    if rtol == 0.0 or not np.isfinite(norm_a):
+        return truncated_svd(LowRankMatrix(a, np.eye(m)), rtol)
+    allowed = rtol * norm_a
+    rng = np.random.default_rng(0)
+    q = np.zeros((n, 0))
+    resid, resid_norm = a, norm_a
+    width = RANGE_BLOCK
+    while resid_norm > RANGE_BUDGET_FRACTION * allowed:
+        if q.shape[1] + width > RANGE_CAP_FRACTION * min(n, m):
+            break
+        block = mgs_orthonormalize(resid @ rng.standard_normal((m, width)), against=q)
+        if block.shape[1] == 0:
+            break
+        q = np.hstack([q, block])
+        core = q.T @ a
+        # formed anew each round: a downdated residual drifts at the level checked here
+        resid = a - q @ core
+        resid_norm = float(np.linalg.norm(resid))
+        width *= 2
+    if resid_norm > allowed:  # capped, or deflated short of the bound
+        return truncated_svd(LowRankMatrix(a, np.eye(m)), rtol)
+    if q.shape[1] == 0:  # the allowed error is at least ||A||_F
+        return LowRankMatrix.zero(n, m)
+    left_over = np.sqrt((allowed - resid_norm) * (allowed + resid_norm))
+    return truncated_svd(LowRankMatrix(q, core.T), left_over / np.linalg.norm(core))
 
 
 def real_schur(a):

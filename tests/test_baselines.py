@@ -23,7 +23,13 @@ from eddyopt.discretize import (
     sample_desired_state,
 )
 from eddyopt.lacore import LowRankMatrix
-from eddyopt.reformulate import assemble_kkt_dense, solve_kkt_dense, vec
+from eddyopt.reformulate import (
+    assemble_kkt_dense,
+    build_sylvester_problem,
+    solve_kkt_dense,
+    vec,
+)
+from eddyopt.skpik import factored_residual
 
 from oracles import dense_schur_hat, solve_kkt2
 
@@ -280,6 +286,30 @@ def test_fminres_reports_mean_iterations():
     assert len(counts) == grid.m_t
     assert report.iterations == pytest.approx(np.mean(counts))
     assert np.mean([3, 5]) == 4.0  # the reported statistic is the plain mean
+
+
+@pytest.mark.parametrize("m_t", [1, 20])
+def test_fminres_reports_coupled_residual(m_t):
+    # one step is the coupled problem; over 20 steps the ignored backward
+    # coupling shows in the residual although every step converged
+    ops, config, grid, yd = _mesh_setup(cells=8, m_t=m_t, sigma=1.0, beta=1e-2)
+    y, report = fminres_solve(ops, config, grid, yd)
+    assert report.converged and report.extra["stop_reason"] == "converged"
+    coupled = report.extra["coupled_residual"]
+    if m_t == 1:
+        assert coupled <= 100 * config.tol
+    else:
+        assert coupled > 1e-2
+    # the same value as the factored residual of [Y | Lambda/sqrt(beta)]
+    problem = build_sylvester_problem(ops, config, grid, LowRankMatrix(yd, np.eye(m_t)))
+    x = np.hstack([y, report.extra["multiplier"] / np.sqrt(config.beta)])
+    assert coupled == factored_residual(x, np.eye(2 * m_t), problem)
+
+
+def test_fminres_zero_target_has_zero_coupled_residual():
+    ops, config, grid, _ = _mesh_setup(cells=2, m_t=3)
+    _, report = fminres_solve(ops, config, grid, np.zeros((ops.n, 3)))
+    assert report.extra["coupled_residual"] == 0.0
 
 
 def test_minres_history_monotone_in_preconditioner_norm():

@@ -10,6 +10,7 @@ from eddyopt.lacore import (
     NotSpdError,
     SingularMatrixError,
     SylvesterConditionError,
+    lowrank_from_dense,
     mgs_orthonormalize,
     mm_read,
     mm_read_dense,
@@ -21,6 +22,8 @@ from eddyopt.lacore import (
     sparse_spd_factorize,
     truncated_svd,
 )
+
+from eddyopt.discretize import TimeGrid, build_mesh, sample_desired_state
 
 from oracles import kron_sylvester_solve, power_eigs_symmetric, quasi_triangular_eigs
 
@@ -231,6 +234,134 @@ def test_truncated_svd_rank_is_scale_invariant(x, rtol, power):
 def test_truncated_svd_rank_zero_passthrough(n, m, rtol, cap):
     out = truncated_svd(LowRankMatrix.zero(n, m), rtol, cap)
     assert out.rank == 0 and out.shape == (n, m)
+
+
+# ---------------------------------------------------------------------------
+# rank-adaptive compression of dense tables
+
+
+def _exact(a, rtol):
+    return truncated_svd(LowRankMatrix(a, np.eye(a.shape[1])), rtol)
+
+
+def _same_factors(x, y):
+    return np.array_equal(x.left, y.left) and np.array_equal(x.right, y.right)
+
+
+def _planted(rng, n, m, svals):
+    u = np.linalg.qr(rng.standard_normal((n, len(svals))))[0]
+    v = np.linalg.qr(rng.standard_normal((m, len(svals))))[0]
+    return (u * svals) @ v.T
+
+
+@st.composite
+def _planted_table(draw):
+    """A table with a planted spectrum spanning twelve decades, at scale 2^p."""
+    n = draw(st.integers(1, 150))
+    m = draw(st.integers(1, 120))
+    r = draw(st.integers(0, min(n, m, 40)))
+    exps = draw(st.lists(st.floats(-12.0, 0.0), min_size=r, max_size=r))
+    power = draw(st.integers(-40, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _planted(rng, n, m, 2.0**power * 10.0 ** np.sort(exps)[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_planted_table(), rtol=_rtols)
+def test_lowrank_from_dense_error_within_bound(a, rtol):
+    out = lowrank_from_dense(a, rtol)
+    total = np.linalg.norm(a)
+    assert out.shape == a.shape
+    assert np.linalg.norm(a - out.to_dense()) <= rtol * total + 1e-12 * total
+    assert np.linalg.norm(out.left.T @ out.left - np.eye(out.rank)) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [0.6, 0.75, 0.9])
+def test_lowrank_from_dense_bound_is_tight_on_smooth_spectra(ratio):
+    # with no gap the truncation spends the whole budget E leaves over, so
+    # an error budget that ignored E would break the bound at some rtol
+    rng = np.random.default_rng(int(100 * ratio))
+    a = _planted(rng, 240, 200, ratio ** np.arange(200))
+    total = np.linalg.norm(a)
+    for rtol in np.geomspace(1e-9, 1e-1, 60):
+        out = lowrank_from_dense(a, rtol)
+        assert np.linalg.norm(a - out.to_dense()) <= rtol * total * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(40, 200),
+    m=st.integers(40, 160),
+    lead=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    tail=st.integers(0, 20),
+    threshold=st.sampled_from([-10, -6, -3]),
+    power=st.integers(-40, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowrank_from_dense_rank_matches_exact_across_a_gap(
+    n, m, lead, tail, threshold, power, seed
+):
+    # leading values at least 10^2 sqrt(k) rtol, the tail's norm at most
+    # 10^-2 rtol, and ||A|| >= 1 at scale 1, so both paths cut at one rank
+    rng = np.random.default_rng(seed)
+    k = len(lead)
+    tail = min(tail, min(n, m) - k)
+    lead_vals = 10.0 ** ((threshold + 2.0 + np.log10(k) / 2.0) * np.array(lead))
+    tail_vals = 10.0 ** (threshold - 2.0 - 6.0 * rng.random(tail)) / np.sqrt(max(tail, 1))
+    svals = np.concatenate([[1.0], lead_vals, tail_vals])[: min(n, m)]
+    a = _planted(rng, n, m, 2.0**power * svals)
+    rtol = 10.0**threshold
+    assert lowrank_from_dense(a, rtol).rank == _exact(a, rtol).rank
+
+
+@pytest.mark.parametrize("seed, rank", [(0, 1), (1, 3), (2, 20)])
+def test_lowrank_from_dense_repeats_bit_for_bit(seed, rank):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 200))
+    first = lowrank_from_dense(a, 1e-10)
+    assert first.rank == rank
+    assert _same_factors(first, lowrank_from_dense(a, 1e-10))
+
+
+def test_lowrank_from_dense_rtol_zero_is_the_exact_path():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((120, 3)) @ rng.standard_normal((3, 80))
+    assert _same_factors(lowrank_from_dense(a, 0.0), _exact(a, 0.0))
+
+
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300), (60, 50), (7, 5)])
+def test_lowrank_from_dense_full_rank_is_the_exact_path(shape):
+    a = np.random.default_rng(5).standard_normal(shape)
+    out = lowrank_from_dense(a, 1e-10)
+    assert out.rank == min(shape)
+    assert _same_factors(out, _exact(a, 1e-10))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (1, 1), (5, 7), (400, 300)])
+def test_lowrank_from_dense_zero_table_has_rank_zero(shape):
+    out = lowrank_from_dense(np.zeros(shape), 1e-10)
+    assert out.rank == 0 and out.shape == shape
+
+
+def test_lowrank_from_dense_one_by_one():
+    out = lowrank_from_dense(np.array([[-3.0]]), 1e-10)
+    assert out.rank == 1
+    assert out.to_dense()[0, 0] == pytest.approx(-3.0, rel=1e-15)
+    assert _same_factors(out, _exact(np.array([[-3.0]]), 1e-10))
+
+
+def test_lowrank_from_dense_rejects_negative_tolerance():
+    with pytest.raises(ValueError):
+        lowrank_from_dense(np.ones((3, 3)), -1e-3)
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2-slice"])
+def test_lowrank_from_dense_builtin_targets_are_rank_one(example):
+    yd = sample_desired_state(example, build_mesh(54), TimeGrid(400))
+    assert yd.shape == (3025, 400)
+    out = lowrank_from_dense(yd, 1e-10)
+    assert out.rank == 1
+    assert np.linalg.norm(yd - out.to_dense()) <= 1e-10 * np.linalg.norm(yd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eddyopt.discretize import (
     ProblemConfig,
@@ -360,6 +363,41 @@ def test_time_side_solve_matches_kronecker_oracle(m_t, sigma, beta, shift):
     assert z.dtype == np.float64
     z_oracle = kron_sylvester_solve(t, b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
+
+
+@st.composite
+def _ritz_pairs_matrix(draw):
+    """A random t with 1-2 complex-conjugate Ritz pairs and 0-2 real values, Re > 0."""
+    pairs = draw(st.integers(1, 2))
+    reals = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(pairs):
+        re = 10.0 ** rng.uniform(-1, 1)
+        up, down = 10.0 ** rng.uniform(-1, 1, 2)  # eigenvalues re +- i sqrt(up down)
+        blocks.append(np.array([[re, up], [-down, re]]))
+    blocks += [np.array([[10.0 ** rng.uniform(-1, 1)]]) for _ in range(reals)]
+    t = scipy.linalg.block_diag(*blocks)
+    k = t.shape[0]
+    t += np.triu(rng.standard_normal((k, k)), 2)
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return q @ t @ q.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t=_ritz_pairs_matrix(),
+    sigma=st.sampled_from([0.0, 1e-4, 1.0, 1e4]),
+    log_beta=st.floats(-8.0, 0.0),
+    m_t=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_side_property_matches_kronecker_oracle(t, sigma, log_beta, m_t, seed):
+    b = build_B(sigma, 1.0 / m_t, 10.0**log_beta, m_t)
+    c = np.random.default_rng(seed).standard_normal((t.shape[0], 2 * m_t))
+    z = TimeSideSolver(b).solve(t, c)
+    z_oracle = kron_sylvester_solve(t, b.toarray(), c)
+    assert np.linalg.norm(z - z_oracle) <= 1e-10 * np.linalg.norm(z_oracle)
 
 
 def test_time_side_solve_on_projected_operator_with_complex_ritz_pair():
