@@ -345,7 +345,7 @@ def lrminres_solve(
 
     problem = build_sylvester_problem(ops, config, grid, yd_lowrank)
     op = _CoupledOperator(ops, config, grid)
-    m_fact = sparse_spd_factorize(ops.mass)
+    m_fact = ops.mass_factor
     schur = build_schur_hat(ops, config, grid)
     beta = config.beta
 
@@ -453,7 +453,7 @@ def fminres_solve(
         ],
         format="csr",
     )
-    m_fact = sparse_spd_factorize(mass)
+    m_fact = ops.mass_factor
     nhat_fact = build_schur_hat(ops, config, grid).d_fact
 
     def apply_prec(v: np.ndarray) -> np.ndarray:

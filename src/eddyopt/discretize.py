@@ -9,12 +9,13 @@ imported instead through the Matrix Market readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import LowRankMatrix, lowrank_from_dense
+from .lacore import LowRankMatrix, SparseFactorization, lowrank_from_dense, sparse_spd_factorize
 
 __all__ = [
     "Mesh2D",
@@ -136,11 +137,33 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class SpaceOperators:
-    """Assembled (or imported) mass and stiffness matrices."""
+    """Assembled (or imported) mass and stiffness matrices.
+
+    The object also owns their sparse factorizations: M, and K + s M for
+    each shift s asked for.  Each is computed on first use and kept, so
+    every problem and solver built on the same operators shares them.
+    The factors do not pickle; hand worker processes the data to build
+    their own operators, not this object.
+    """
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     n: int
+
+    @cached_property
+    def mass_factor(self) -> SparseFactorization:
+        return sparse_spd_factorize(self.mass)
+
+    @cached_property
+    def _shifted_factors(self) -> dict[float, SparseFactorization]:
+        return {}
+
+    def shifted_factor(self, shift: float) -> SparseFactorization:
+        """The factorization of K + shift*M; raises NotSpdError if it is not SPD."""
+        if shift not in self._shifted_factors:
+            shifted = self.stiffness if shift == 0 else (self.stiffness + shift * self.mass).tocsr()
+            self._shifted_factors[shift] = sparse_spd_factorize(shifted)
+        return self._shifted_factors[shift]
 
 
 def build_mesh(cells_per_side: int) -> Mesh2D:

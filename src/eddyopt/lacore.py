@@ -43,6 +43,9 @@ __all__ = [
 # of its original norm
 DEFLATION_RTOL = 1e-12
 
+# solve_sylvester_dense refuses a solution whose relative residual exceeds this
+SYLVESTER_RESIDUAL_RTOL = 1e-8
+
 # columns of the first random test block of the range finder; each round doubles it
 RANGE_BLOCK = 8
 # the range finder stops once its residual is this fraction of the allowed error
@@ -294,7 +297,11 @@ def solve_sylvester_dense(ta, tb, c):
     Both coefficients are brought to real Schur form and the
     quasi-triangular equation is solved by back-substitution.  Raises
     :class:`SylvesterConditionError` naming the near-common eigenvalue
-    when the spectra of ``ta`` and ``-tb`` (nearly) intersect.
+    when the spectra of ``ta`` and ``-tb`` (nearly) intersect.  The
+    triangular solve flags only an intersection at rounding level, while
+    a near one already spoils the solution, so the residual is checked
+    as well: it must stay within ``SYLVESTER_RESIDUAL_RTOL`` of
+    ``||c||_F``.
     """
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
@@ -317,7 +324,14 @@ def solve_sylvester_dense(ta, tb, c):
         raise _collision_error(ra, rb, f"triangular solve scaled by {scale:.3e}")
     if not np.isfinite(y).all():
         raise _collision_error(ra, rb, "non-finite solution")
-    return qa @ y @ qb.T
+    y = qa @ y @ qb.T
+    resid = np.linalg.norm(ta @ y + y @ tb.T - c)
+    c_norm = np.linalg.norm(c)
+    if not resid <= SYLVESTER_RESIDUAL_RTOL * c_norm:
+        raise _collision_error(
+            ra, rb, f"solution residual {resid:.3e} against ||c||_F = {c_norm:.3e}"
+        )
+    return y
 
 
 @dataclass

@@ -29,13 +29,13 @@ from .lacore import (
     NotSpdError,
     SparseFactorization,
     sparse_lu_factorize,
-    sparse_spd_factorize,
 )
 
 __all__ = [
     "SylvesterProblem",
     "KktSystem",
     "time_difference_matrix",
+    "time_coefficients",
     "build_B",
     "build_rhs",
     "build_a_ops",
@@ -73,22 +73,26 @@ def time_difference_matrix(m_t: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def build_B(sigma: float, tau: float, beta: float, m_t: int) -> sp.csr_matrix:
-    """Time-coupling matrix pairing the state and multiplier column blocks.
-
-    Block form [[(sigma/tau) C^T, I/sqrt(beta)], [-I/sqrt(beta),
-    (sigma/tau) C]] with C the backward-difference matrix; its symmetric
-    part is positive definite whenever sigma > 0.
-    """
+def time_coefficients(sigma: float, tau: float, beta: float) -> tuple[float, float]:
+    """The two scalars of the time coupling: (g, w) = (sigma/tau, 1/sqrt(beta))."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    return sigma / tau, 1.0 / np.sqrt(beta)
+
+
+def build_B(sigma: float, tau: float, beta: float, m_t: int) -> sp.csr_matrix:
+    """Time-coupling matrix pairing the state and multiplier column blocks.
+
+    Block form [[g C^T, w I], [-w I, g C]] with C the backward-difference
+    matrix and (g, w) from :func:`time_coefficients`; its symmetric part
+    is positive definite whenever sigma > 0.
+    """
+    g, w = time_coefficients(sigma, tau, beta)
     c = time_difference_matrix(m_t)
-    g = sigma / tau
-    w = 1.0 / np.sqrt(beta)
     eye = sp.identity(m_t, format="csr")
     b = sp.bmat([[g * c.T, w * eye], [-w * eye, g * c]], format="csr")
     b.eliminate_zeros()
@@ -122,14 +126,13 @@ def build_a_ops(
 
     The forward map is v -> M^{-1}(K + shift*M) v evaluated through the
     mass factorization; the inverse map is v -> (K + shift*M)^{-1} M v.
-    Both share the sparse factorizations computed here once.
+    Both use the factorizations that ``ops`` owns.
     """
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    m_fact = sparse_spd_factorize(ops.mass)
-    shifted = ops.stiffness if shift == 0 else (ops.stiffness + shift * ops.mass).tocsr()
+    m_fact = ops.mass_factor
     try:
-        k_fact = sparse_spd_factorize(shifted)
+        k_fact = ops.shifted_factor(shift)
     except NotSpdError as exc:
         raise NotSpdError(
             "stiffness plus shift*mass is not positive definite; increase the "
@@ -153,9 +156,14 @@ class SylvesterProblem:
     """Shifted operator form of A X + X B = R1 R2^T.
 
     ``apply_a`` and ``apply_a_inv`` realize the (already shifted) space
-    operator and its inverse; ``b_matrix`` is the shifted time coupling
-    B - shift*I with ``b_lu`` its LU factorization.  The object is
-    immutable in use and safe to share between concurrent solves.
+    operator and its inverse through the factorizations that the
+    :class:`SpaceOperators` own.  ``b_matrix`` is the shifted time
+    coupling B - shift*I, and ``g`` = sigma/tau and ``w`` = 1/sqrt(beta)
+    are the coefficients it was built from.  No solver uses ``b_lu``, the
+    LU factorization of ``b_matrix``; it stays only because the
+    benchmark's tracer wraps it, until the next change to the benchmark.
+    The object is immutable in use and safe to share between concurrent
+    solves.
     """
 
     n: int
@@ -167,6 +175,8 @@ class SylvesterProblem:
     r1: np.ndarray
     r2: np.ndarray
     shift: float
+    g: float
+    w: float
 
 
 def build_sylvester_problem(
@@ -191,6 +201,7 @@ def build_sylvester_problem(
         )
     shift = config.resolve_shift()
     apply_a, apply_a_inv = build_a_ops(ops, shift)
+    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
     b = build_B(config.effective_sigma, grid.tau, config.beta, grid.m_t)
     if shift:
         b = (b - shift * sp.identity(2 * grid.m_t, format="csr")).tocsr()
@@ -212,6 +223,8 @@ def build_sylvester_problem(
         r1=r1,
         r2=r2,
         shift=shift,
+        g=g,
+        w=w,
     )
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -454,6 +455,54 @@ def test_sylvester_random_sweep_against_oracle():
         y = solve_sylvester_dense(ta, tb, c)
         y_oracle = kron_sylvester_solve(ta, tb.T, c)
         assert np.linalg.norm(y - y_oracle) <= 1e-10 * max(1.0, np.linalg.norm(y_oracle))
+
+
+@st.composite
+def _colliding_pair(draw):
+    """(ta, tb, gap exponent): eigenvalue lam of ta meets -lam (1 + delta) of tb.
+
+    delta is +-10^-e for e in 0..16, or exactly 0 when e is 17.  The
+    colliding pair is real or complex-conjugate; the other eigenvalues are
+    random, and both matrices are mildly non-normal and hidden behind
+    random orthogonal similarities.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = draw(st.integers(0, 17))
+    delta = 0.0 if e == 17 else draw(st.sampled_from([-1.0, 1.0])) * 10.0**-e
+    lam = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+    if draw(st.booleans()):
+        im = 10.0 ** rng.uniform(-1, 1)
+        blocks_a = [np.array([[lam, im], [-im, lam]])]
+        blocks_b = [-(1.0 + delta) * np.array([[lam, im], [-im, lam]])]
+    else:
+        blocks_a, blocks_b = [np.array([[lam]])], [np.array([[-(1.0 + delta) * lam]])]
+
+    def hide(blocks, extra):
+        signs = rng.choice([-1.0, 1.0], extra)
+        blocks = blocks + [np.array([[v]]) for v in signs * 10.0 ** rng.uniform(-1, 1, extra)]
+        t = scipy.linalg.block_diag(*blocks)
+        k = t.shape[0]
+        t += 0.3 * np.triu(rng.standard_normal((k, k)), 2)
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return q @ t @ q.T
+
+    ta = hide(blocks_a, draw(st.integers(0, 4)))
+    tb = hide(blocks_b, draw(st.integers(0, 4)))
+    return ta, tb, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_colliding_pair(), seed=st.integers(0, 2**32 - 1))
+def test_sylvester_near_spectral_collision_raises_or_is_accurate(pair, seed):
+    ta, tb, e = pair
+    c = np.random.default_rng(seed).standard_normal((ta.shape[0], tb.shape[0]))
+    try:
+        y = solve_sylvester_dense(ta, tb, c)
+    except SylvesterConditionError as exc:
+        assert "eigenvalue" in str(exc)
+        assert e > 0, "a gap as wide as the eigenvalue itself must not be refused"
+        return
+    assert np.linalg.norm(ta @ y + y @ tb.T - c) <= 1e-8 * np.linalg.norm(c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,8 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
+import eddyopt.lacore as lacore
+from eddyopt.baselines import fminres_solve, lrminres_solve
 from eddyopt.lacore import LowRankMatrix, NotSpdError
 from eddyopt.reformulate import (
     assemble_kkt_dense,
@@ -163,6 +167,49 @@ def test_a_ops_rejects_indefinite_shifted_stiffness():
     with pytest.raises(NotSpdError) as err:
         build_a_ops(ops, 0.0)
     assert "shift" in str(err.value)
+
+
+def _spy_spd_factorizations(monkeypatch):
+    """Record the matrix of every sparse_spd_factorize call, in every eddyopt module."""
+    original = lacore.sparse_spd_factorize
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eddyopt" and getattr(module, "sparse_spd_factorize", None) is original:
+            monkeypatch.setattr(module, "sparse_spd_factorize", spy)
+    return calls
+
+
+def test_space_side_factorizes_mass_and_stiffness_once(monkeypatch):
+    ops, config, grid, yd = _small_problem(cells=3, m_t=3, sigma=1.0, beta=1e-2)
+    yd_lr = lowrank_desired(yd, 1e-12)
+    calls = _spy_spd_factorizations(monkeypatch)
+    build_sylvester_problem(ops, config, grid, yd_lr)
+    build_sylvester_problem(ops, ProblemConfig(sigma=1e-4, beta=1e-6), grid, yd_lr)
+    lrminres_solve(ops, config, grid, yd_lr)
+    fminres_solve(ops, config, grid, yd)
+    assert sum(a is ops.mass for a in calls) == 1
+    assert sum(a is ops.stiffness for a in calls) == 1
+    # the rest are the Schur preconditioners of the two baselines, one each
+    assert len(calls) == 4
+
+
+def test_space_side_factorizes_once_per_shift(monkeypatch):
+    ops, config, grid, yd = _small_problem(cells=3, m_t=3)
+    yd_lr = lowrank_desired(yd, 1e-12)
+    build_sylvester_problem(ops, config, grid, yd_lr)
+    calls = _spy_spd_factorizations(monkeypatch)
+    shifted = ProblemConfig(sigma=1.0, beta=1.0, shift=0.5)
+    for _ in range(2):
+        problem = build_sylvester_problem(ops, shifted, grid, yd_lr)
+    assert len(calls) == 1
+    v = np.random.default_rng(1).standard_normal(ops.n)
+    k_shifted = (ops.stiffness + 0.5 * ops.mass).toarray()
+    assert np.allclose(k_shifted @ problem.apply_a_inv(v), ops.mass @ v)
 
 
 # ---------------------------------------------------------------------------

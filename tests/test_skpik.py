@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,8 +23,13 @@ from eddyopt.reformulate import (
     build_sylvester_problem,
     extract_solution,
     solve_kkt_dense,
+    time_coefficients,
+    time_difference_matrix,
 )
 from eddyopt.skpik import (
+    STAGNATION_FACTOR,
+    STAGNATION_LEVEL,
+    STAGNATION_WINDOW,
     TimeSideSolver,
     factored_residual,
     skpik_init,
@@ -306,6 +313,47 @@ def test_solve_rejects_empty_sweep_budget():
         skpik_solve(problem, max_sweeps=0)
 
 
+def test_solve_stop_reason_stagnation():
+    # below the attainable accuracy that eps_reg sets on a 289-node mesh the
+    # residual creeps: without the stop this runs 144 sweeps until the space closes
+    ops, config, grid, yd = _mesh_problem(cells=16, m_t=20, sigma=1.0, beta=1e-4)
+    problem = _problem(ops, config, grid, yd, rhs_tol=config.trunc_tol)
+    x, report = skpik_solve(problem, tol=1e-12, trunc_tol=config.trunc_tol)
+    assert report.extra["stop_reason"] == "stagnation"
+    assert not report.converged
+    assert report.iterations <= 40
+    history = report.residual_history
+    assert history[-1] * STAGNATION_FACTOR > history[-1 - STAGNATION_WINDOW]
+    assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
+
+
+def test_solve_plateau_above_stagnation_level_is_not_cut():
+    # a rank-3 target on the 3025-node mesh: the residual holds near 1.5e-6
+    # for about 20 sweeps and then converges; the stall lies above
+    # STAGNATION_LEVEL, so it must not be taken for stagnation
+    cells, m_t = 54, 50
+    mesh = build_mesh(cells)
+    config = ProblemConfig(sigma=1e-4, beta=1e-2)
+    ops = build_operators(mesh, config)
+    x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    t = np.arange(1, m_t + 1) / m_t
+    modes = [(1, 1), (2, 1), (1, 3)]
+    yd = sum(
+        np.outer(np.sin(k * np.pi * x1) * np.sin(l * np.pi * x2), np.cos((j + 1) * np.pi * t + phi))
+        for j, ((k, l), phi) in enumerate(zip(modes, (0.4, 1.3, 2.2)))
+    )
+    problem = _problem(ops, config, TimeGrid(m_t), yd, rhs_tol=config.trunc_tol)
+    _, report = skpik_solve(problem, config.tol, config.trunc_tol)
+    assert report.converged and report.extra["stop_reason"] == "converged"
+    history = report.residual_history
+    stalled = [
+        k
+        for k in range(STAGNATION_WINDOW, len(history))
+        if history[k] * STAGNATION_FACTOR > history[k - STAGNATION_WINDOW]
+    ]
+    assert stalled and min(history[k] for k in stalled) > STAGNATION_LEVEL
+
+
 def test_solve_stop_reason_space_exhausted():
     # a 4-node mesh: the left space closes within a few sweeps, and a
     # tolerance below rounding level cannot be met on it
@@ -343,6 +391,10 @@ def _shifted_b(sigma, m_t, beta, shift):
     return (b - shift * sp.identity(2 * m_t)).tocsr()
 
 
+def _time_side(sigma, m_t, beta, shift):
+    return TimeSideSolver(*time_coefficients(sigma, 1.0 / m_t, beta), shift, m_t)
+
+
 @pytest.mark.parametrize(
     "m_t, sigma, beta, shift",
     [(1, 1.0, 0.5, 0.0), (1, 0.0, 1e-2, 0.7), (5, 1.0, 1e-2, 0.0), (12, 0.3, 1e-4, 1.5)],
@@ -358,7 +410,7 @@ def test_time_side_solve_matches_kronecker_oracle(m_t, sigma, beta, shift):
     t = q @ t @ q.T + shift * np.eye(5)
     b = _shifted_b(sigma, m_t, beta, shift)
     c = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 2 * m_t))
-    solver = TimeSideSolver(b)
+    solver = _time_side(sigma, m_t, beta, shift)
     z = solver.solve(t, c)
     assert z.dtype == np.float64
     z_oracle = kron_sylvester_solve(t, b.toarray(), c)
@@ -395,7 +447,7 @@ def _ritz_pairs_matrix(draw):
 def test_time_side_property_matches_kronecker_oracle(t, sigma, log_beta, m_t, seed):
     b = build_B(sigma, 1.0 / m_t, 10.0**log_beta, m_t)
     c = np.random.default_rng(seed).standard_normal((t.shape[0], 2 * m_t))
-    z = TimeSideSolver(b).solve(t, c)
+    z = _time_side(sigma, m_t, 10.0**log_beta, 0.0).solve(t, c)
     z_oracle = kron_sylvester_solve(t, b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-10 * np.linalg.norm(z_oracle)
 
@@ -416,18 +468,48 @@ def test_time_side_solve_on_projected_operator_with_complex_ritz_pair():
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
 
 
-def test_time_side_interleaving_gives_bandwidth_two():
-    solver = TimeSideSolver(_shifted_b(1.0, 64, 1e-4, 0.3))
-    assert (solver.kl, solver.ku) == (2, 2)
+def test_time_side_reduction_gives_two_tridiagonal_blocks():
+    # the system of order 2 m_t that one shift solves is
+    # diag(L^T L + w^2 I, L L^T + w^2 I) with L = (theta - shift) I + g C
+    m_t, sigma, beta, shift, theta = 6, 1.0, 1e-4, 0.3, 2.5
+    solver = _time_side(sigma, m_t, beta, shift)
+    g, w = time_coefficients(sigma, 1.0 / m_t, beta)
+    p = theta - shift + g
+    tri = np.diag(solver.diag + p * p) + np.diag(p * solver.off, 1) + np.diag(p * solver.off, -1)
+    ell = (theta - shift) * np.eye(m_t) + g * time_difference_matrix(m_t).toarray()
+    expected = scipy.linalg.block_diag(
+        ell.T @ ell + w * w * np.eye(m_t), ell @ ell.T + w * w * np.eye(m_t)
+    )
+    assert np.allclose(tri, expected, rtol=1e-14, atol=0.0)
+    assert solver.off[m_t - 1] == 0.0
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("beta", [1e-2, 1e-8])
+def test_time_side_extreme_coefficients_match_dense_solve(sigma, beta):
+    # the desk's largest time grid and its extreme sigma and beta, over the
+    # range of Ritz values the desk sees: the reduction squares the
+    # conditioning of L, and still meets 1e-10 against a direct solve
+    m_t = 400
+    rng = np.random.default_rng(3)
+    solver = _time_side(sigma, m_t, beta, 0.0)
+    bt = build_B(sigma, 1.0 / m_t, beta, m_t).toarray().T
+    for theta in np.logspace(-6, 5, 12):
+        f = rng.standard_normal(2 * m_t)
+        x = solver.solve(np.array([[theta]]), f[None])[0]
+        ref = np.linalg.solve(theta * np.eye(2 * m_t) + bt, f)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), theta
 
 
 def test_time_side_singular_shift_raises():
     # sigma = 0, beta = 1: B^T - 0.5 I has eigenvalues -0.5 +- i, which the
     # Ritz pair 0.5 -+ i of t cancels exactly
-    solver = TimeSideSolver(_shifted_b(0.0, 1, 1.0, 0.5))
+    solver = _time_side(0.0, 1, 1.0, 0.5)
     t = np.array([[0.5, 1.0], [-1.0, 0.5]])
-    with pytest.raises(SylvesterConditionError):
-        solver.solve(t, np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the solver raises from LAPACK's info, no numpy warning
+        with pytest.raises(SylvesterConditionError):
+            solver.solve(t, np.ones((2, 2)))
 
 
 def test_sweep_galerkin_condition_holds_on_whole_time_axis():
