@@ -229,6 +229,7 @@ def _solve_point(method: str, ops, config, grid, yd):
         "subspace": list(report.subspace) if report.subspace else None,
         "stop_reason": report.extra["stop_reason"],
         "coupled_residual": report.extra.get("coupled_residual"),
+        "phases": report.extra.get("phases"),
         "tol": config.tol,
         "trunc_tol": config.trunc_tol,
     }

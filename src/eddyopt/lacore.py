@@ -25,6 +25,7 @@ __all__ = [
     "LowRankMatrix",
     "mgs_orthonormalize",
     "lowrank_norm",
+    "truncation_rank",
     "truncated_svd",
     "lowrank_from_dense",
     "real_schur",
@@ -161,15 +162,30 @@ def lowrank_norm(x: LowRankMatrix) -> float:
     return float(np.linalg.norm(c1 @ c2.T))
 
 
+def truncation_rank(s: np.ndarray, rtol: float) -> int:
+    """The one truncation rule: the smallest k with ||s[k:]||_2 <= rtol ||s||_2.
+
+    For the singular values ``s`` of X, in decreasing order, the rank-k
+    truncation X_k then satisfies ||X - X_k||_F <= rtol ||X||_F;
+    ``rtol = 0`` keeps every nonzero value.  Any nonnegative ``s`` is
+    taken in the order given: entries are dropped from the end.
+    """
+    if rtol < 0:
+        raise ValueError("truncation tolerance must be nonnegative")
+    if s.size == 0:
+        return 0
+    # tail[k] = ||s[k:]||_2, accumulated by hypot so it neither over- nor underflows
+    tail = np.hypot.accumulate(s[::-1])[::-1]
+    return int(np.count_nonzero(tail > rtol * tail[0]))
+
+
 def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) -> LowRankMatrix:
     """Recompress a factored matrix to the smallest rank within ``rtol``.
 
-    Skinny QR of both factors followed by an SVD of the small core.  The
-    rule keeps the smallest rank k whose discarded tail satisfies
-    ||s[k:]||_2 <= rtol ||s||_2, so that ||X - X_k||_F <= rtol ||X||_F;
-    ``rtol = 0`` keeps every nonzero singular value.  ``max_rank`` caps
-    k after the rule.  The returned left factor has orthonormal columns
-    and the scale lives in the right factor.
+    Skinny QR of both factors followed by an SVD of the small core,
+    truncated by :func:`truncation_rank`.  ``max_rank`` caps k after the
+    rule.  The returned left factor has orthonormal columns and the
+    scale lives in the right factor.
     """
     if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
@@ -178,9 +194,7 @@ def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) ->
     ql, cl = np.linalg.qr(x.left)
     qr_, cr = np.linalg.qr(x.right)
     u, s, vt = np.linalg.svd(cl @ cr.T)
-    # tail[k] = ||s[k:]||_2, accumulated by hypot so it neither over- nor underflows
-    tail = np.hypot.accumulate(s[::-1])[::-1]
-    k = int(np.count_nonzero(tail > rtol * tail[0]))
+    k = truncation_rank(s, rtol)
     if max_rank is not None:
         k = min(k, max_rank)
     return LowRankMatrix(ql @ u[:, :k], qr_ @ (vt[:k].T * s[:k]))

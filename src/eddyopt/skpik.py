@@ -10,16 +10,19 @@ two symmetric tridiagonal systems of order m_t.  So the sweep count
 does not grow with the number of time steps.  The iterate is X = U Z.
 Every sweep monitors the projected residual of the Galerkin iterate,
 (I - U U^T) A U Z, from quantities the sweep already holds, so the full
-solution matrix is never formed.  The final iterate is
-recompressed by a truncated SVD of its factors, and only those returned
-factors are certified by :func:`factored_residual`.
+solution matrix is never formed.  The final iterate is truncated to
+the smallest rank whose projected residual meets the tolerance, found
+from the SVD of Z and small matrices alone; the truncation must also
+keep the state and the multiplier each within the tolerance.  Only the
+returned factors are certified by :func:`factored_residual`.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg.lapack import dptsv, zgtsv
@@ -31,7 +34,7 @@ from .lacore import (
     lowrank_norm,
     mgs_orthonormalize,
     real_schur,
-    truncated_svd,
+    truncation_rank,
 )
 from .reformulate import SylvesterProblem
 
@@ -43,6 +46,7 @@ __all__ = [
     "skpik_sweep",
     "skpik_solve",
     "factored_residual",
+    "truncation_residuals",
 ]
 
 # skpik stops as stagnated once the projected residual, below
@@ -53,6 +57,9 @@ __all__ = [
 STAGNATION_FACTOR = 2.0
 STAGNATION_WINDOW = 10
 STAGNATION_LEVEL = float(np.sqrt(np.finfo(float).eps))
+
+# the keys of skpik's extra["phases"]: seconds per stage of the solve
+PHASES = ("extend", "project", "time_side", "residual", "compress", "certify")
 
 
 @dataclass
@@ -79,7 +86,9 @@ class _ExtendedBasis:
     is mapped by the operator, the inverse block by its inverse.  The
     forward block is a column block of U, so its image is read from the
     cached A U instead of being computed again.  Either block may
-    deflate to nothing; once both are empty the space is closed.
+    deflate to nothing; once both are empty the space is closed.  U and
+    A U are views of buffers whose capacity doubles when it runs out, so
+    a sweep copies only the columns it adds.
     """
 
     def __init__(self, apply_fwd: Callable, apply_inv: Callable, seed: np.ndarray):
@@ -89,41 +98,57 @@ class _ExtendedBasis:
         if q_fwd.shape[1] == 0:
             raise StagnationError("right-hand-side factor deflated to an empty basis")
         q_inv = mgs_orthonormalize(apply_inv(q_fwd), against=q_fwd)
-        self.basis = np.hstack([q_fwd, q_inv])
-        self.image = apply_fwd(self.basis)
+        self.dim = 0
+        self._basis = np.empty((seed.shape[0], 0))
+        self._image = np.empty((seed.shape[0], 0))
+        self._append(q_fwd)
+        self._append(q_inv)
+        self._image[:, : self.dim] = apply_fwd(self.basis)
         self.fwd_cols = slice(0, q_fwd.shape[1])
         self.block_inv = q_inv
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    def basis(self) -> np.ndarray:
+        return self._basis[:, : self.dim]
+
+    @property
+    def image(self) -> np.ndarray:
+        return self._image[:, : self.dim]
 
     @property
     def closed(self) -> bool:
         return self.fwd_cols.start == self.fwd_cols.stop and self.block_inv.shape[1] == 0
 
+    def _append(self, cols: np.ndarray) -> None:
+        """Append orthonormal columns to U; their image is filled in by the caller."""
+        end = self.dim + cols.shape[1]
+        if end > self._basis.shape[1]:
+            # up to three columns fill their buffers exactly: BLAS sums a
+            # contiguous block that narrow in another order than a strided
+            # view, which would move the last bits of the results
+            capacity = end if end <= 3 else max(end, 2 * self._basis.shape[1])
+            for name in ("_basis", "_image"):
+                grown = np.empty((cols.shape[0], capacity))
+                grown[:, : self.dim] = getattr(self, name)[:, : self.dim]
+                setattr(self, name, grown)
+        self._basis[:, self.dim : end] = cols
+        self.dim = end
+
     def extend(self) -> np.ndarray:
         """Advance the seed blocks; returns the newly added orthonormal columns."""
-        n = self.basis.shape[0]
-        if self.closed:
-            return np.zeros((n, 0))
+        n, start = self._basis.shape[0], self.dim
         if self.fwd_cols.start < self.fwd_cols.stop:
             q_fwd = mgs_orthonormalize(self.image[:, self.fwd_cols], against=self.basis)
+            self._append(q_fwd)
         else:
             q_fwd = np.zeros((n, 0))
+        self.fwd_cols = slice(start, self.dim)
         if self.block_inv.shape[1]:
-            q_inv = mgs_orthonormalize(
-                self.apply_inv(self.block_inv),
-                against=np.hstack([self.basis, q_fwd]),
-            )
-        else:
-            q_inv = np.zeros((n, 0))
-        new = np.hstack([q_fwd, q_inv])
-        self.fwd_cols = slice(self.dim, self.dim + q_fwd.shape[1])
-        self.block_inv = q_inv
+            self.block_inv = mgs_orthonormalize(self.apply_inv(self.block_inv), against=self.basis)
+            self._append(self.block_inv)
+        new = np.hstack([q_fwd, self.block_inv])
         if new.shape[1]:
-            self.basis = np.hstack([self.basis, new])
-            self.image = np.hstack([self.image, self.apply_fwd(new)])
+            self._image[:, start : self.dim] = self.apply_fwd(new)
         return new
 
 
@@ -228,9 +253,12 @@ class KpikState:
     Holds the left extended Krylov basis U, which caches its image A U,
     with the projected operator t_a = U^T A U and the projected
     right-hand-side factor U^T R1; the time-side solver; the norm of
-    R1 R2^T; and the solution z of the projected equation, so that the
-    iterate is X = U z.  The history of projected residuals, relative to
-    the norm of R1 R2^T, sits next to them.
+    R1 R2^T; the solution z of the projected equation, so that the
+    iterate is X = U z; and the triangular factor r of (I - U U^T) A U,
+    so that the residual of any U z' is U (t_a z' + z' B - (U^T R1) R2^T)
+    plus a part of norm ||r z'||_F orthogonal to U.  The history of
+    projected residuals, relative to the norm of R1 R2^T, and the seconds
+    spent per phase sit next to them.
     """
 
     left: _ExtendedBasis
@@ -239,13 +267,25 @@ class KpikState:
     r1_proj: np.ndarray
     rhs_norm: float
     z: np.ndarray | None = None
+    r: np.ndarray | None = None
     sweeps: int = 0
     residual_history: list[float] = field(default_factory=list)
+    phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
 
     @property
     def dims(self) -> tuple[int, int]:
         """(dim U, 2 m_t): the time side is the whole axis."""
         return (self.left.dim, 2 * self.time_side.m_t)
+
+
+@contextmanager
+def _phase(phases: dict[str, float], name: str):
+    """Add the seconds spent in the block to ``phases[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] += time.perf_counter() - start
 
 
 def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem) -> float:
@@ -305,23 +345,92 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
     projected solution already exists, since no further progress is
     possible.
     """
-    left = state.left
+    left, phases = state.left, state.phases
     u_old, a_old = left.basis, left.image
-    u_new = left.extend()
+    with _phase(phases, "extend"):
+        u_new = left.extend()
     if u_new.shape[1] == 0 and state.z is not None:
         raise StagnationError("the extended Krylov space is exhausted without convergence")
-    if u_new.shape[1]:
-        a_new = left.image[:, u_old.shape[1] :]
-        state.t_a = np.block([[state.t_a, u_old.T @ a_new], [u_new.T @ a_old, u_new.T @ a_new]])
-        state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
-
-    state.z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
-    # relies on R1 in range(U): R1 is the seed block, up to the 1e-12 deflation tolerance
-    r = np.linalg.qr(left.image - left.basis @ state.t_a, mode="r")
-    res = float(np.linalg.norm(r @ state.z))
+    with _phase(phases, "project"):
+        if u_new.shape[1]:
+            a_new = left.image[:, u_old.shape[1] :]
+            state.t_a = np.block(
+                [[state.t_a, u_old.T @ a_new], [u_new.T @ a_old, u_new.T @ a_new]]
+            )
+            state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
+    with _phase(phases, "time_side"):
+        state.z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
+    with _phase(phases, "residual"):
+        # relies on R1 in range(U): R1 is the seed block, up to the 1e-12 deflation tolerance
+        state.r = np.linalg.qr(left.image - left.basis @ state.t_a, mode="r")
+        res = float(np.linalg.norm(state.r @ state.z))
     state.residual_history.append(res / state.rhs_norm if state.rhs_norm else res)
     state.sweeps += 1
     return state
+
+
+def truncation_residuals(
+    state: KpikState, problem: SylvesterProblem, p: np.ndarray, s: np.ndarray, qt: np.ndarray
+) -> Iterator[float]:
+    """Relative residuals of U z_k for k = 1, 2, ..., len(s), without n-sized work.
+
+    z_k = p[:, :k] diag(s[:k]) qt[:k] are the truncations of the SVD
+    z = p diag(s) qt of the current projected solution.  Each U z_k lies
+    in range(U), so its squared residual is ||e_k||_F^2 + ||r z_k||_F^2
+    with e_k = t_a z_k + z_k B - (U^T R1) R2^T (see :class:`KpikState`).
+    Both terms change by one rank-one step from k - 1 to k.
+    """
+    e = -(state.r1_proj @ problem.r2.T)
+    lead = (state.t_a @ p) * s  # t_a p_j s_j
+    trail = (problem.b_matrix.T @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
+    outside = np.cumsum((np.linalg.norm(state.r @ p, axis=0) * s) ** 2)
+    for j in range(s.size):
+        e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])
+        res = float(np.sqrt(np.sum(e * e) + outside[j]))
+        yield res / state.rhs_norm if state.rhs_norm else res
+
+
+def _compress(
+    state: KpikState, problem: SylvesterProblem, tol: float, trunc_tol: float
+) -> tuple[LowRankMatrix, float]:
+    """The smallest truncation of U z that certifies tol, else the one the cap rule keeps.
+
+    U is orthonormal, so (U p) diag(s) qt is an SVD of U z.  The cap
+    k_cap is the rank that :func:`~eddyopt.lacore.truncation_rank` keeps
+    at ``trunc_tol`` on s.  The returned rank k is the smallest k <= k_cap
+    that meets tol twice: the projected residual of the truncation, and
+    the part it drops from each time block (state, multiplier), which is
+    the same rule at tol on the share s_j ||qt[j, block]|| of each
+    triplet in that block.  The residual alone lets a block much smaller
+    than the other lose all its digits: on the 9-node mesh at sigma = 1e4
+    the state is 1e-3 of X, and rank 2 meets a residual of 1e-8 with
+    the state off by 2.7e-6.  Rank k is certified by
+    :func:`factored_residual`; if no rank meets both, or its certificate
+    fails, rank k_cap is certified.  Returns the factors and their
+    certified residual.
+    """
+    phases = state.phases
+    m_t = state.time_side.m_t
+    with _phase(phases, "compress"):
+        p, s, qt = np.linalg.svd(state.z, full_matrices=False)
+        k_cap = truncation_rank(s, trunc_tol)
+        k_blocks = max(
+            truncation_rank(s * np.linalg.norm(qt[:, block], axis=1), tol)
+            for block in (slice(0, m_t), slice(m_t, 2 * m_t))
+        )
+        p, s, qt = p[:, :k_cap], s[:k_cap], qt[:k_cap]
+        residuals = truncation_residuals(state, problem, p, s, qt)
+        k_min = next(
+            (k for k, res in enumerate(residuals, 1) if k >= k_blocks and res <= tol), k_cap
+        )
+    for k in sorted({k_min, k_cap}):
+        with _phase(phases, "compress"):
+            x = LowRankMatrix(state.left.basis @ p[:, :k], qt[:k].T * s[:k])
+        with _phase(phases, "certify"):
+            res = factored_residual(x.left, x.right, problem)
+        if res <= tol:
+            break
+    return x, res
 
 
 def skpik_solve(
@@ -333,12 +442,15 @@ def skpik_solve(
     """Run the projection iteration until the certified residual meets tol.
 
     Each sweep monitors the projected residual.  Once it passes the
-    tolerance, the iterate is compressed by
-    :func:`~eddyopt.lacore.truncated_svd` with relative tail ``trunc_tol``
-    and :func:`factored_residual` certifies the compressed factors; if
-    they fail, sweeping continues.  Sweeping stops early once the
-    projected residual is below ``STAGNATION_LEVEL`` (sqrt(eps)) and has
-    fallen by less than ``STAGNATION_FACTOR`` over the last
+    tolerance, the iterate U z is compressed to the smallest rank whose
+    projected residual meets tol and which changes the state and the
+    multiplier block each by at most tol, relative; that rank is no
+    larger than the one :func:`~eddyopt.lacore.truncation_rank` keeps at
+    relative tail ``trunc_tol`` (the cap).  :func:`factored_residual`
+    certifies the compressed factors.  If they fail, the cap's factors
+    are certified, and if those fail too, sweeping continues.  Sweeping stops early once
+    the projected residual is below ``STAGNATION_LEVEL`` (sqrt(eps)) and
+    has fallen by less than ``STAGNATION_FACTOR`` over the last
     ``STAGNATION_WINDOW`` sweeps: there the residual has reached the
     attainable accuracy that the conditioning of A sets (see README),
     and more sweeps only grow the basis.  On stagnation, on hitting
@@ -346,7 +458,9 @@ def skpik_solve(
     and certified the same way, and the converged flag reflects its
     certified residual; there is no silent success.
     ``extra["stop_reason"]`` is ``"converged"``, ``"stagnation"``,
-    ``"max_sweeps"`` or ``"space_exhausted"``.
+    ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["phases"]`` holds
+    the seconds spent in each of ``PHASES`` (seeding the basis counts as
+    ``extend``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -365,11 +479,13 @@ def skpik_solve(
             residual_history=[],
             subspace=(0, 0),
             absolute_residual=True,
-            extra={"stop_reason": "converged"},
+            extra={"stop_reason": "converged", "phases": dict.fromkeys(PHASES, 0.0)},
         )
         return x, report
 
+    seeding = time.perf_counter()
     state = skpik_init(problem)
+    state.phases["extend"] = time.perf_counter() - seeding
     history = state.residual_history
     while True:
         try:
@@ -385,8 +501,7 @@ def skpik_solve(
         )
         last = exhausted or stagnated or state.sweeps == max_sweeps
         if last or history[-1] <= tol:
-            x = truncated_svd(LowRankMatrix(state.left.basis, state.z.T), trunc_tol)
-            res = factored_residual(x.left, x.right, problem)
+            x, res = _compress(state, problem, tol, trunc_tol)
             if res <= tol or last:
                 break
     if res <= tol:
@@ -404,6 +519,6 @@ def skpik_solve(
         seconds=time.perf_counter() - start,
         residual_history=list(history),
         subspace=state.dims,
-        extra={"stop_reason": stop_reason},
+        extra={"stop_reason": stop_reason, "phases": dict(state.phases)},
     )
     return x, report

@@ -300,10 +300,10 @@ def test_fminres_reports_coupled_residual(m_t):
         assert coupled <= 100 * config.tol
     else:
         assert coupled > 1e-2
-    # the same value as the factored residual of [Y | Lambda/sqrt(beta)]
+    # the value of the factored residual of [Y | Lambda/sqrt(beta)], up to rounding
     problem = build_sylvester_problem(ops, config, grid, LowRankMatrix(yd, np.eye(m_t)))
     x = np.hstack([y, report.extra["multiplier"] / np.sqrt(config.beta)])
-    assert coupled == factored_residual(x, np.eye(2 * m_t), problem)
+    assert coupled == pytest.approx(factored_residual(x, np.eye(2 * m_t), problem), rel=1e-12)
 
 
 def test_fminres_zero_target_has_zero_coupled_residual():

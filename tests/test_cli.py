@@ -57,6 +57,10 @@ def test_solve_skpik_json_and_factors(tmp_path, capsys):
     assert row["converged"] is True
     assert row["stop_reason"] == "converged"
     assert row["coupled_residual"] is None
+    assert set(row["phases"]) == {
+        "extend", "project", "time_side", "residual", "compress", "certify"
+    }
+    assert all(v >= 0.0 for v in row["phases"].values())
     assert row["residual"] <= 1e-6
     assert row["rank"] >= 1
     assert row["subspace"][1] == 2 * 16
@@ -82,6 +86,7 @@ def test_solve_lrminres_factors_reproduce_reported_residual(tmp_path):
     assert code == 0
     row = json.loads(out.read_text())
     assert row["coupled_residual"] is None
+    assert row["phases"] is None
     x1 = mm_read_dense(tmp_path / "lr.X1.mtx")
     x2 = mm_read_dense(tmp_path / "lr.X2.mtx")
     mesh = build_mesh(4)
@@ -135,6 +140,7 @@ def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
     assert row["stop_reason"] == "converged"
     # one time step is the coupled problem, so the per-step solve certifies it
     assert row["coupled_residual"] <= 1e-8
+    assert row["phases"] is None
     x1 = mm_read_dense(tmp_path / "a.X1.mtx")
     x2 = mm_read_dense(tmp_path / "a.X2.mtx")
     x = x1 @ x2.T

@@ -22,6 +22,7 @@ from eddyopt.lacore import (
     sparse_lu_factorize,
     sparse_spd_factorize,
     truncated_svd,
+    truncation_rank,
 )
 
 from eddyopt.discretize import TimeGrid, build_mesh, sample_desired_state
@@ -235,6 +236,26 @@ def test_truncated_svd_rank_is_scale_invariant(x, rtol, power):
 def test_truncated_svd_rank_zero_passthrough(n, m, rtol, cap):
     out = truncated_svd(LowRankMatrix.zero(n, m), rtol, cap)
     assert out.rank == 0 and out.shape == (n, m)
+
+
+@given(
+    # entries above 1e-100, so that the norms below do not underflow
+    w=st.lists(st.floats(1e-100, 1e3) | st.just(0.0), min_size=0, max_size=12).map(np.array),
+    rtol=_rtols,
+)
+def test_truncation_rank_is_the_smallest_k_within_bound_in_any_order(w, rtol):
+    # the rule drops entries from the end, whatever their order
+    k = truncation_rank(w, rtol)
+    assert 0 <= k <= w.size
+    total = np.linalg.norm(w)
+    assert np.linalg.norm(w[k:]) <= rtol * total * (1 + 1e-12)
+    if k > 0:
+        assert np.linalg.norm(w[k - 1 :]) > rtol * total * (1 - 1e-12)
+
+
+def test_truncation_rank_rejects_negative_tolerance():
+    with pytest.raises(ValueError):
+        truncation_rank(np.ones(3), -1e-3)
 
 
 # ---------------------------------------------------------------------------

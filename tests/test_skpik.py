@@ -16,7 +16,14 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import LowRankMatrix, StagnationError, SylvesterConditionError
+from eddyopt import skpik
+from eddyopt.lacore import (
+    LowRankMatrix,
+    StagnationError,
+    SylvesterConditionError,
+    truncated_svd,
+    truncation_rank,
+)
 from eddyopt.reformulate import (
     assemble_kkt_dense,
     build_B,
@@ -27,6 +34,7 @@ from eddyopt.reformulate import (
     time_difference_matrix,
 )
 from eddyopt.skpik import (
+    PHASES,
     STAGNATION_FACTOR,
     STAGNATION_LEVEL,
     STAGNATION_WINDOW,
@@ -35,6 +43,7 @@ from eddyopt.skpik import (
     skpik_init,
     skpik_solve,
     skpik_sweep,
+    truncation_residuals,
 )
 
 from oracles import kron_sylvester_solve
@@ -380,6 +389,145 @@ def test_report_fields_consistent():
     # the reported residual is exactly the factored residual of the stored x
     assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
     assert len(report.residual_history) == report.iterations
+
+
+def test_report_phases_cover_the_solve():
+    ops, config, grid, yd = _mesh_problem(cells=3, m_t=4, sigma=1.0, beta=1e-2)
+    problem = _problem(ops, config, grid, yd)
+    _, report = skpik_solve(problem, tol=1e-8)
+    phases = report.extra["phases"]
+    assert tuple(phases) == PHASES
+    assert all(v >= 0.0 for v in phases.values())
+    assert phases["extend"] > 0.0 and phases["certify"] > 0.0
+    assert sum(phases.values()) <= report.seconds
+
+
+def test_extended_basis_grows_in_place():
+    # U and A U are views of buffers; every block extend returns is the tail of U
+    ops, config, grid, yd = _mesh_problem(cells=4, m_t=3, sigma=1.0, beta=1e-2)
+    problem = _problem(ops, config, grid, yd)
+    state = skpik_init(problem)
+    left = state.left
+    blocks = [left.basis.copy()]
+    for _ in range(6):
+        blocks.append(left.extend())
+    u = left.basis
+    assert u.base is not None and left.image.base is not None
+    np.testing.assert_array_equal(u, np.hstack(blocks))
+    assert np.linalg.norm(u.T @ u - np.eye(left.dim)) <= 1e-12
+    np.testing.assert_allclose(left.image, problem.apply_a(u), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rank rule: the smallest rank up to the cap that certifies tol
+
+
+def _replay(problem, sweeps):
+    """The state skpik_solve ends in after the given number of sweeps."""
+    state = skpik_init(problem)
+    for _ in range(sweeps):
+        skpik_sweep(state, problem)
+    return state
+
+
+def _block_error_ok(s, qt, k, m_t, tol):
+    """Does truncating the SVD s, qt to rank k keep both time blocks within tol?"""
+    for block in (slice(0, m_t), slice(m_t, 2 * m_t)):
+        share = s * np.linalg.norm(qt[:, block], axis=1)
+        if np.linalg.norm(share[k:]) > tol * np.linalg.norm(share):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "cells, m_t, sigma, beta",
+    [(2, 2, 1.0, 1.0), (3, 3, 0.5, 0.01), (4, 5, 1e-4, 1e-6), (5, 4, 1e4, 1e-3)],
+)
+def test_truncation_residuals_match_dense_residual(cells, m_t, sigma, beta):
+    # the projected residual of every truncation U z_k is its true residual
+    ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
+    problem = _problem(ops, config, grid, yd)
+    a_dense = _dense_a(ops, problem.shift)
+    b_dense = problem.b_matrix.toarray()
+    r_dense = problem.r1 @ problem.r2.T
+    state = skpik_init(problem)
+    for _ in range(3):
+        try:
+            skpik_sweep(state, problem)
+        except StagnationError:
+            break
+        p, s, qt = np.linalg.svd(state.z, full_matrices=False)
+        projected = list(truncation_residuals(state, problem, p, s, qt))
+        assert len(projected) == s.size
+        for k, res in enumerate(projected, 1):
+            x = state.left.basis @ (p[:, :k] * s[:k]) @ qt[:k]
+            dense = np.linalg.norm(a_dense @ x + x @ b_dense - r_dense) / np.linalg.norm(r_dense)
+            assert abs(res - dense) <= 1e-13
+        # at full rank the truncation is the iterate, whose residual the history holds
+        assert abs(projected[-1] - state.residual_history[-1]) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.integers(2, 4),
+    sigma=st.sampled_from([0.0, 1e-4, 1.0, 1e4]),
+    log_beta=st.floats(-8.0, -2.0),
+    m_t=st.integers(1, 20),
+)
+def test_rank_rule_property(cells, sigma, log_beta, m_t):
+    tol, trunc_tol = 1e-6, 1e-10
+    ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=10.0**log_beta)
+    problem = _problem(ops, config, grid, yd)
+    x, report = skpik_solve(problem, tol, trunc_tol)
+    state = _replay(problem, report.iterations)
+    p, s, qt = np.linalg.svd(state.z, full_matrices=False)
+    k_cap = truncation_rank(s, trunc_tol)
+    k = report.rank
+    assert k <= k_cap
+    if report.converged:
+        assert report.residual <= tol
+        assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
+    if report.converged and k < k_cap:
+        # the scan's rank was certified: it meets tol, and k - 1 does not
+        projected = list(truncation_residuals(state, problem, p[:, :k], s[:k], qt[:k]))
+        assert projected[-1] <= tol and _block_error_ok(s, qt, k, m_t, tol)
+        if k > 1:
+            assert projected[-2] > tol or not _block_error_ok(s, qt, k - 1, m_t, tol)
+
+
+def test_rank_rule_keeps_sweeps_and_stop_reasons_of_the_cap_rule(monkeypatch):
+    cases = [
+        (cells, m_t, sigma, beta, tol, max_sweeps)
+        for cells, m_t in ((4, 4), (6, 8))
+        for sigma in (1e-4, 1.0, 1e4)
+        for beta in (1e-2, 1e-6)
+        for tol, max_sweeps in ((1e-6, 500), (1e-10, 6))
+    ]
+
+    def solve_all():
+        out = []
+        for cells, m_t, sigma, beta, tol, max_sweeps in cases:
+            ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
+            problem = _problem(ops, config, grid, yd)
+            out.append(skpik_solve(problem, tol, 1e-10, max_sweeps)[1])
+        return out
+
+    reports = solve_all()
+
+    def cap_compress(state, problem, tol, trunc_tol):
+        x = truncated_svd(LowRankMatrix(state.left.basis, state.z.T), trunc_tol)
+        return x, factored_residual(x.left, x.right, problem)
+
+    monkeypatch.setattr(skpik, "_compress", cap_compress)
+    capped = solve_all()
+    assert {r.extra["stop_reason"] for r in reports} >= {"converged", "max_sweeps"}
+    for r, c in zip(reports, capped):
+        assert r.iterations == c.iterations
+        assert r.extra["stop_reason"] == c.extra["stop_reason"]
+        assert r.residual_history == c.residual_history
+        assert r.converged == c.converged
+        assert r.rank <= c.rank
+    assert sum(r.rank for r in reports) < sum(c.rank for c in capped)
 
 
 # ---------------------------------------------------------------------------
