@@ -18,14 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
-from .lacore import (
-    LinAlgFailure,
-    LowRankMatrix,
-    lowrank_norm,
-    sparse_spd_factorize,
-    truncated_svd,
-)
-from .reformulate import build_B, build_sylvester_problem, time_difference_matrix
+from .lacore import LinAlgFailure, LowRankMatrix, SparseFactorization, lowrank_norm, truncated_svd
+from .reformulate import build_B, build_sylvester_problem, time_coefficients, time_difference_matrix
 from .skpik import SolveReport, factored_residual
 
 __all__ = [
@@ -143,15 +137,17 @@ def combined_solution_factors(z: LowRankVector) -> tuple[np.ndarray, np.ndarray]
 class SchurHatApprox:
     """Matching-type approximation of the coupled Schur complement.
 
-    Stores the factorization of the per-step diagonal block
-    D = sigma*M + tau*K + (tau/sqrt(beta))*M; the approximation itself is
-    (1/tau) * Nhat M_block^{-1} Nhat^T with Nhat block lower bidiagonal
-    in time, so its inverse applies exactly by two substitution sweeps.
+    (1/tau) * Nhat M_block^{-1} Nhat^T, Nhat block lower bidiagonal in
+    time with D = sigma*M + tau*K + (tau/sqrt(beta))*M on the diagonal and
+    -sigma*M below it.  D = tau*F with F = K + (g + w)*M, (g, w) from
+    :func:`~eddyopt.reformulate.time_coefficients`; the object holds the
+    factorization of F and applies the inverse exactly by two
+    substitution sweeps with it.
     """
 
     mass: sp.csr_matrix
-    d_fact: object
-    sigma: float
+    factor: SparseFactorization
+    g: float
     tau: float
     m_t: int
 
@@ -163,15 +159,15 @@ class SchurHatApprox:
         if v.shape[1] != self.m_t:
             raise ValueError(f"expected {self.m_t} time slices, got {v.shape[1]}")
         w = np.empty_like(v)
-        w[:, 0] = self.d_fact.solve(v[:, 0])
+        w[:, 0] = self.factor.solve(v[:, 0])
         for j in range(1, self.m_t):
-            w[:, j] = self.d_fact.solve(v[:, j] + self.sigma * (self.mass @ w[:, j - 1]))
+            w[:, j] = self.factor.solve(v[:, j] + self.g * (self.mass @ w[:, j - 1]))
         u = self.mass @ w
         z = np.empty_like(v)
-        z[:, -1] = self.d_fact.solve(u[:, -1])
+        z[:, -1] = self.factor.solve(u[:, -1])
         for j in range(self.m_t - 2, -1, -1):
-            z[:, j] = self.d_fact.solve(u[:, j] + self.sigma * (self.mass @ z[:, j + 1]))
-        return self.tau * z
+            z[:, j] = self.factor.solve(u[:, j] + self.g * (self.mass @ z[:, j + 1]))
+        return z / self.tau
 
     def solve_vec(self, v: np.ndarray) -> np.ndarray:
         n = self.mass.shape[0]
@@ -180,16 +176,15 @@ class SchurHatApprox:
 
 
 def build_schur_hat(ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid) -> SchurHatApprox:
-    sigma = config.effective_sigma
-    tau = grid.tau
-    d = (sigma * ops.mass + tau * ops.stiffness + (tau / np.sqrt(config.beta)) * ops.mass).tocsr()
-    return SchurHatApprox(ops.mass, sparse_spd_factorize(d), sigma, tau, grid.m_t)
+    """The approximation at this point, on the factorization of K + (g + w)*M that ``ops`` keeps."""
+    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
+    return SchurHatApprox(ops.mass, ops.shifted_factor(g + w), g, grid.tau, grid.m_t)
 
 
 def apply_schur_hat_inv(
     v: np.ndarray, ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid
 ) -> np.ndarray:
-    """One-shot inverse application (factorizes on every call)."""
+    """One-shot inverse application; the factorization comes from ``ops``."""
     return build_schur_hat(ops, config, grid).solve_vec(v)
 
 
@@ -480,13 +475,13 @@ def fminres_solve(
         format="csr",
     )
     m_fact = ops.mass_factor
-    nhat_fact = build_schur_hat(ops, config, grid).d_fact
+    f_fact = ops.shifted_factor(sum(time_coefficients(sigma, tau, beta)))  # K + (g + w)*M
 
     def apply_prec(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         out[:n] = m_fact.solve(v[:n]) / tau
         out[n : 2 * n] = m_fact.solve(v[n : 2 * n]) / (tau * beta)
-        out[2 * n :] = tau * nhat_fact.solve(mass @ nhat_fact.solve(v[2 * n :]))
+        out[2 * n :] = f_fact.solve(mass @ f_fact.solve(v[2 * n :])) / tau
         return out
 
     y_traj = np.zeros((n, m_t))

@@ -22,6 +22,7 @@ from .discretize import (
     ProblemConfig,
     SpaceOperators,
     TimeGrid,
+    add_elliptic_term,
     build_mesh,
     build_operators,
     lowrank_desired,
@@ -155,9 +156,7 @@ def _load_imported_operators(directory: str, config: ProblemConfig) -> SpaceOper
     stiff = mm_read(k_path)
     if mass.shape[0] != mass.shape[1] or mass.shape != stiff.shape:
         raise UsageError("imported M and K must be square and of equal size")
-    if config.stiffness_is_pd:
-        stiff = (stiff + config.eps_reg * mass).tocsr()
-    return SpaceOperators(mass, stiff, mass.shape[0])
+    return SpaceOperators(mass, add_elliptic_term(stiff, mass, config), mass.shape[0])
 
 
 def _build_problem_data(args):
@@ -183,6 +182,12 @@ def _build_problem_data(args):
             raise UsageError(
                 f"desired-state table has shape {table.shape}, expected ({ops.n}, {grid.m_t})"
             )
+        if not np.isfinite(table).all():
+            row, col = np.argwhere(~np.isfinite(table))[0]
+            raise UsageError(
+                f"--yd-file {args.yd_file}: non-finite entry {table[row, col]} "
+                f"at row {row}, column {col} (counted from 0)"
+            )
         yd = table
     else:
         if mesh is None:
@@ -196,7 +201,7 @@ def _build_problem_data(args):
 
 def _solve_point(method: str, ops, config, grid, yd):
     """Dispatch one solve; returns (row dict, factors-or-None, trajectory-or-None)."""
-    yd_lr = lowrank_desired(yd, config.trunc_tol)
+    yd_lr = lowrank_desired(yd, config.trunc_tol) if method in ("skpik", "lrminres") else None
     started = time.perf_counter()
     if method == "skpik":
         problem = build_sylvester_problem(ops, config, grid, yd_lr)

@@ -28,6 +28,7 @@ __all__ = [
     "build_mesh",
     "assemble_mass",
     "assemble_stiffness",
+    "add_elliptic_term",
     "build_operators",
     "sample_desired_state",
     "lowrank_desired",
@@ -228,8 +229,15 @@ def assemble_mass(mesh: Mesh2D) -> sp.csr_matrix:
     return _scatter(mesh, local)
 
 
+def add_elliptic_term(stiffness, mass, config: ProblemConfig) -> sp.csr_matrix:
+    """K + eps_reg*M if ``config.stiffness_is_pd``, else K: assembled and imported K alike."""
+    if config.stiffness_is_pd:
+        return (stiffness + config.eps_reg * mass).tocsr()
+    return stiffness
+
+
 def assemble_stiffness(mesh: Mesh2D, config: ProblemConfig) -> sp.csr_matrix:
-    """Diffusion stiffness nu * (grad, grad), plus an elliptic mass shift.
+    """Diffusion stiffness nu * (grad, grad), plus the elliptic term of :func:`add_elliptic_term`.
 
     With regularization kind 3 and eps_reg > 0 the result is positive
     definite; otherwise it is symmetric positive semidefinite with the
@@ -239,12 +247,7 @@ def assemble_stiffness(mesh: Mesh2D, config: ProblemConfig) -> sp.csr_matrix:
     local = (
         b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
     ) / (4.0 * area)[:, None, None]
-    k = _scatter(mesh, local) * config.nu
-    if config.reg_kind == REG_ELLIPTIC and config.eps_reg > 0:
-        k = k + config.eps_reg * assemble_mass(mesh)
-        k = sp.csr_matrix(k)
-        k.sort_indices()
-    return k
+    return add_elliptic_term(_scatter(mesh, local) * config.nu, assemble_mass(mesh), config)
 
 
 def build_operators(mesh: Mesh2D, config: ProblemConfig) -> SpaceOperators:

@@ -212,9 +212,11 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     truncated with the error budget E leaves over; since E is
     orthogonal to range(Q) the two errors add in squares.  The Gaussian
     draws come from a fixed seed, so repeated calls return identical
-    factors.  ``rtol = 0``, non-finite tables and tables whose range
-    would pass a quarter of min(n, m) columns before meeting the bound
-    take the exact path, ``truncated_svd(LowRankMatrix(a, I), rtol)``.
+    factors.  ``rtol = 0``, finite tables whose norm overflows and
+    tables whose range would pass a quarter of min(n, m) columns before
+    meeting the bound take the exact path,
+    ``truncated_svd(LowRankMatrix(a, I), rtol)``.  A NaN or infinite
+    entry raises ValueError naming its (row, column).
     """
     if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
@@ -223,6 +225,9 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     norm_a = float(np.linalg.norm(a))
     if norm_a == 0.0:
         return LowRankMatrix.zero(n, m)
+    if not np.isfinite(norm_a) and not np.isfinite(a).all():
+        row, col = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"table has a non-finite entry {a[row, col]} at ({row}, {col})")
     if rtol == 0.0 or not np.isfinite(norm_a):
         return truncated_svd(LowRankMatrix(a, np.eye(m)), rtol)
     allowed = rtol * norm_a

@@ -65,7 +65,10 @@ def test_schur_hat_scalar_case():
     assert np.allclose(out, v / 4.0)
 
 
-@pytest.mark.parametrize("m_t,cells,sigma,beta", [(1, 2, 0.5, 0.1), (4, 2, 2.0, 1e-3)])
+@pytest.mark.parametrize(
+    "m_t,cells,sigma,beta",
+    [(1, 2, 0.5, 0.1), (4, 2, 2.0, 1e-3), (4, 2, 0.0, 1e-3), (4, 2, 1e4, 1e-3)],
+)
 def test_schur_hat_matches_dense_oracle(m_t, cells, sigma, beta):
     ops, config, grid, _ = _mesh_setup(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
     shat = dense_schur_hat(

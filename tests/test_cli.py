@@ -173,6 +173,28 @@ def test_solve_with_imported_matrices_matches_mesh_path(tmp_path):
     assert row_imp["converged"] and row_mesh["converged"]
     assert row_imp["n"] == row_mesh["n"]
     assert row_imp["rank"] == row_mesh["rank"]
+    # both paths add the elliptic term through one function, so K agrees bit for bit
+    config = ProblemConfig(sigma=1.0, beta=1e-2)
+    built = build_operators(mesh, config)
+    imported = cli._load_imported_operators(str(opsdir), config)
+    assert np.array_equal(imported.mass.toarray(), built.mass.toarray())
+    assert np.array_equal(imported.stiffness.toarray(), built.stiffness.toarray())
+
+
+def test_solve_rejects_non_finite_target_entry(tmp_path, capsys):
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "2", "--out", str(opsdir))
+    table = np.ones((9, 2))
+    table[4, 1] = np.nan
+    yd_file = tmp_path / "yd.txt"
+    np.savetxt(yd_file, table)
+    assert run_cli(
+        "solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", "2",
+        "--sigma", "1", "--beta", "1", "--example", "file", "--yd-file", str(yd_file),
+    ) == 1
+    err = capsys.readouterr().err
+    assert str(yd_file) in err
+    assert "non-finite entry nan at row 4, column 1" in err
 
 
 def test_solve_import_mode_requires_yd_file(tmp_path, capsys):

@@ -372,6 +372,25 @@ def test_lowrank_from_dense_one_by_one():
     assert _same_factors(out, _exact(np.array([[-3.0]]), 1e-10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lowrank_from_dense_names_the_first_non_finite_entry(bad):
+    a = np.ones((6, 4))
+    a[2, 1] = bad
+    a[4, 3] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(2, 1\)"):
+        lowrank_from_dense(a, 1e-10)
+
+
+def test_lowrank_from_dense_finite_table_with_overflowing_norm_is_the_exact_path():
+    rng = np.random.default_rng(6)
+    a = 1e200 * np.outer(rng.standard_normal(30), rng.standard_normal(20))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.norm(a))
+        out = lowrank_from_dense(a, 1e-10)
+        assert _same_factors(out, _exact(a, 1e-10))
+    assert out.rank == 1
+
+
 def test_lowrank_from_dense_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         lowrank_from_dense(np.ones((3, 3)), -1e-3)

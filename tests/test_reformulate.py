@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from eddyopt.reformulate import (
     build_sylvester_problem,
     extract_solution,
     solve_kkt_dense,
+    time_coefficients,
     time_difference_matrix,
     unvec,
     vec,
@@ -194,8 +197,45 @@ def test_space_side_factorizes_mass_and_stiffness_once(monkeypatch):
     fminres_solve(ops, config, grid, yd)
     assert sum(a is ops.mass for a in calls) == 1
     assert sum(a is ops.stiffness for a in calls) == 1
-    # the rest are the Schur preconditioners of the two baselines, one each
-    assert len(calls) == 4
+    # the third is K + (g + w) M, the Schur factor both baselines share at one point
+    assert len(calls) == 3
+
+
+def test_baselines_share_one_schur_factor_per_point(monkeypatch):
+    ops, config, grid, yd = _small_problem(cells=3, m_t=3, sigma=1.0, beta=1e-2)
+    yd_lr = lowrank_desired(yd, 1e-12)
+    # M and the Sylvester problem's K + sM are factored before the spy starts
+    ops.mass_factor
+    ops.shifted_factor(config.resolve_shift())
+    calls = _spy_spd_factorizations(monkeypatch)
+    lrminres_solve(ops, config, grid, yd_lr)
+    fminres_solve(ops, config, grid, yd)
+    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].toarray(), (ops.stiffness + (g + w) * ops.mass).toarray())
+    other = ProblemConfig(sigma=1.0, beta=1e-4)
+    lrminres_solve(ops, other, grid, yd_lr)
+    fminres_solve(ops, other, grid, yd)
+    assert len(calls) == 2
+
+
+def _calls_in_src(name):
+    """Module file names under src/eddyopt that call ``name``, as a bare name or an attribute."""
+    callers = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "eddyopt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    callers.add(path.name)
+    return callers
+
+
+def test_only_the_space_side_and_the_problem_builder_factorize():
+    # SpaceOperators (discretize) owns every SPD factorization; b_lu is the one LU
+    assert _calls_in_src("sparse_spd_factorize") == {"discretize.py"}
+    assert _calls_in_src("sparse_lu_factorize") == {"reformulate.py"}
 
 
 def test_space_side_factorizes_once_per_shift(monkeypatch):
