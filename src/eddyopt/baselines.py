@@ -18,7 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
-from .lacore import LinAlgFailure, LowRankMatrix, SparseFactorization, lowrank_norm, truncated_svd
+from .lacore import (
+    LinAlgFailure,
+    LowRankMatrix,
+    SparseFactorization,
+    factor_cores,
+    lowrank_norm,
+    truncate_cores,
+    truncated_svd,
+)
 from .reformulate import build_B, build_sylvester_problem, time_coefficients, time_difference_matrix
 from .skpik import SolveReport, factored_residual
 
@@ -84,17 +92,23 @@ def lowrank_inner(x: LowRankVector, y: LowRankVector) -> float:
 def _block_axpy(
     x: LowRankMatrix, y: LowRankMatrix, alpha: float, trunc_tol: float, k_max
 ) -> LowRankMatrix:
-    """x + alpha*y through :func:`truncated_svd` with a rank cap, plus zero detection.
+    """x + alpha*y through the steps of :func:`truncated_svd` with a rank cap, plus zero detection.
 
     A result whose total mass is at round-off level relative to the
-    inputs that formed it is an exact cancellation and collapses to rank
-    zero.
+    inputs that formed it, ||x||_F + |alpha| ||y||_F, is an exact
+    cancellation and collapses to rank zero.  Both norms come from the
+    triangular factors of the truncation's own QR.
     """
-    scale = lowrank_norm(x) + abs(alpha) * lowrank_norm(y)
     combined = LowRankMatrix(
         np.hstack([x.left, y.left]), np.hstack([x.right, alpha * y.right])
     )
-    out = truncated_svd(combined, trunc_tol, k_max)
+    if combined.rank == 0:
+        return combined
+    cores = factor_cores(combined)
+    _, cl, _, cr = cores
+    k = x.rank
+    scale = np.linalg.norm(cl[:, :k] @ cr[:, :k].T) + np.linalg.norm(cl[:, k:] @ cr[:, k:].T)
+    out = truncate_cores(cores, trunc_tol, k_max)
     # the left factor is orthonormal, so the right one carries the norm
     if np.linalg.norm(out.right) <= 64.0 * _EPS * scale:
         return LowRankMatrix.zero(*combined.shape)

@@ -143,8 +143,9 @@ class SpaceOperators:
     The object also owns their sparse factorizations: M, and K + s M for
     each shift s asked for.  Each is computed on first use and kept, so
     every problem and solver built on the same operators shares them.
-    The factors do not pickle; hand worker processes the data to build
-    their own operators, not this object.
+    The factors pickle, but a worker process should still get the data
+    and build its own operators: a pickled object carries every factor
+    it has computed so far.
     """
 
     mass: sp.csr_matrix
@@ -236,6 +237,14 @@ def add_elliptic_term(stiffness, mass, config: ProblemConfig) -> sp.csr_matrix:
     return stiffness
 
 
+def _assemble_diffusion(mesh: Mesh2D, nu: float) -> sp.csr_matrix:
+    b, c, area = _element_geometry(mesh)
+    local = (
+        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    ) / (4.0 * area)[:, None, None]
+    return _scatter(mesh, local) * nu
+
+
 def assemble_stiffness(mesh: Mesh2D, config: ProblemConfig) -> sp.csr_matrix:
     """Diffusion stiffness nu * (grad, grad), plus the elliptic term of :func:`add_elliptic_term`.
 
@@ -243,15 +252,14 @@ def assemble_stiffness(mesh: Mesh2D, config: ProblemConfig) -> sp.csr_matrix:
     definite; otherwise it is symmetric positive semidefinite with the
     constants in its nullspace.
     """
-    b, c, area = _element_geometry(mesh)
-    local = (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area)[:, None, None]
-    return add_elliptic_term(_scatter(mesh, local) * config.nu, assemble_mass(mesh), config)
+    return add_elliptic_term(_assemble_diffusion(mesh, config.nu), assemble_mass(mesh), config)
 
 
 def build_operators(mesh: Mesh2D, config: ProblemConfig) -> SpaceOperators:
-    return SpaceOperators(assemble_mass(mesh), assemble_stiffness(mesh, config), mesh.n_nodes)
+    """The operators of :func:`assemble_mass` and :func:`assemble_stiffness`, the mass assembled once."""
+    mass = assemble_mass(mesh)
+    stiffness = add_elliptic_term(_assemble_diffusion(mesh, config.nu), mass, config)
+    return SpaceOperators(mass, stiffness, mesh.n_nodes)
 
 
 def _target_profile_split_domain(nodes: np.ndarray) -> np.ndarray:

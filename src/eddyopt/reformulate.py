@@ -135,8 +135,8 @@ def build_a_ops(
         k_fact = ops.shifted_factor(shift)
     except NotSpdError as exc:
         raise NotSpdError(
-            "stiffness plus shift*mass is not positive definite; increase the "
-            "shift or the elliptic regularization"
+            f"stiffness plus shift*mass cannot be factored ({exc}); check the "
+            "imported matrices, or increase the shift or the elliptic regularization"
         ) from exc
     stiffness = ops.stiffness
     mass = ops.mass

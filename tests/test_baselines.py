@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eddyopt.baselines import (
     LowRankVector,
+    _block_axpy,
     apply_schur_hat_inv,
     build_schur_hat,
     combined_solution_factors,
@@ -22,7 +25,7 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import LowRankMatrix
+from eddyopt.lacore import LowRankMatrix, factor_cores, truncated_svd
 from eddyopt.reformulate import (
     assemble_kkt_dense,
     build_sylvester_problem,
@@ -119,6 +122,33 @@ def test_axpy_exact_cancellation_gives_rank_zero():
     out = lowrank_axpy_truncate(x, minus, 2.0, 1e-10, 10)
     assert out.yblk.rank == 0
     assert out.lblk.rank == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    # near underflow (|alpha| ~ 1e-300) the QR of alpha*y loses its relative accuracy
+    st.one_of(st.just(0.0), st.floats(1e-6, 3.0), st.floats(-3.0, -1e-6)),
+    st.sampled_from([0.0, 1e-10, 1e-3]),
+)
+def test_block_axpy_scale_from_truncation_cores(seed, kx, ky, alpha, trunc):
+    rng = np.random.default_rng(seed)
+    x, y = _random_lr(rng, 12, 6, kx), _random_lr(rng, 12, 6, ky)
+    combined = LowRankMatrix(np.hstack([x.left, y.left]), np.hstack([x.right, alpha * y.right]))
+    if combined.rank:
+        # the cancellation scale ||x|| + |alpha| ||y|| read off the truncation's QR
+        _, cl, _, cr = factor_cores(combined)
+        from_cores = np.linalg.norm(cl[:, :kx] @ cr[:, :kx].T) + np.linalg.norm(
+            cl[:, kx:] @ cr[:, kx:].T
+        )
+        direct = lowrank_norm(x) + abs(alpha) * lowrank_norm(y)
+        assert abs(from_cores - direct) <= 1e-12 * direct
+    out = _block_axpy(x, y, alpha, trunc, 3)
+    ref = truncated_svd(combined, trunc, 3)
+    assert np.array_equal(out.left, ref.left) and np.array_equal(out.right, ref.right)
+    assert _block_axpy(x, x, -1.0, trunc, 3).rank == 0
 
 
 def test_axpy_reconstruction_error_within_tolerance():

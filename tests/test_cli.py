@@ -6,7 +6,7 @@ import pytest
 
 import eddyopt.cli as cli
 from eddyopt.discretize import ProblemConfig, TimeGrid, build_mesh, build_operators, lowrank_desired, sample_desired_state
-from eddyopt.lacore import mm_read, mm_read_dense
+from eddyopt.lacore import mm_read, mm_read_dense, mm_write
 from eddyopt.reformulate import build_sylvester_problem
 from eddyopt.skpik import factored_residual
 
@@ -179,6 +179,23 @@ def test_solve_with_imported_matrices_matches_mesh_path(tmp_path):
     imported = cli._load_imported_operators(str(opsdir), config)
     assert np.array_equal(imported.mass.toarray(), built.mass.toarray())
     assert np.array_equal(imported.stiffness.toarray(), built.stiffness.toarray())
+
+
+def test_solve_names_the_asymmetry_of_an_imported_stiffness(tmp_path, capsys):
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "2", "--out", str(opsdir))
+    k = mm_read(opsdir / "K.mtx").tolil()
+    k[0, 1] *= 1.5
+    mm_write(opsdir / "K.mtx", k)
+    yd_file = tmp_path / "yd.txt"
+    np.savetxt(yd_file, np.ones((9, 2)))
+    assert run_cli(
+        "solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", "2",
+        "--sigma", "1", "--beta", "1", "--example", "file", "--yd-file", str(yd_file),
+    ) == 1
+    err = capsys.readouterr().err
+    assert "not symmetric" in err
+    assert f"|a_ij - a_ji| = {0.5 * abs(k[0, 1]) / 1.5:.6g} at (i, j) = (0, 1)" in err
 
 
 def test_solve_rejects_non_finite_target_entry(tmp_path, capsys):

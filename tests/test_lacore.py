@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -571,6 +573,58 @@ def test_spd_rejects_indefinite_and_singular():
         sparse_spd_factorize(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(NotSpdError):
         sparse_spd_factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+
+
+def test_spd_rejects_asymmetric_naming_the_largest_gap():
+    n = 5
+    a = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    a[1, 2] *= 1.5
+    with pytest.raises(NotSpdError, match=r"not symmetric.* 0\.5 at \(i, j\) = \(1, 2\)"):
+        sparse_spd_factorize(a.tocsr())
+    # rounding-level asymmetry, as in summed imported matrices, is accepted
+    a[1, 2] = -1.0 * (1.0 + 8 * np.finfo(float).eps)
+    sparse_spd_factorize(a.tocsr())
+
+
+def _random_sparse_spd(draw, n):
+    """A diagonally dominant SPD matrix with a random pattern, under a random symmetric permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 0.5))
+    off = sp.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
+    off = sp.triu(off, k=1)
+    off = off + off.T
+    dominance = np.asarray(abs(off).sum(axis=1)).ravel()
+    a = (off + sp.diags(dominance + rng.uniform(0.1, 10.0, n))).tocsr()
+    perm = rng.permutation(n)
+    return a[perm][:, perm].tocsr(), rng
+
+
+@st.composite
+def _spd_cases(draw):
+    n = draw(st.integers(1, 60))
+    a, rng = _random_sparse_spd(draw, n)
+    return a, rng.standard_normal((n, draw(st.integers(1, 4)))), int(rng.integers(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spd_cases())
+def test_spd_band_cholesky_property(case):
+    a, b, row = case
+    f = sparse_spd_factorize(a)
+    x = f.solve(b)
+    a_norm = np.linalg.norm(a.toarray())
+    for j in range(b.shape[1]):
+        single = f.solve(b[:, j])
+        # dpbtrs solves column by column, so a block solve is the single solves
+        assert np.array_equal(x[:, j], single)
+        assert np.linalg.norm(a @ single - b[:, j]) <= 1e-12 * a_norm * np.linalg.norm(single)
+    assert np.array_equal(pickle.loads(pickle.dumps(f)).solve(b), x)
+    # a negative diagonal entry: the leading block without it is still dominant,
+    # so the pivot of exactly that row is the first to fail
+    indefinite = a.tolil()
+    indefinite[row, row] = -1.0
+    with pytest.raises(NotSpdError, match=rf"pivot of row {row} is not positive"):
+        sparse_spd_factorize(indefinite.tocsr())
 
 
 def test_lu_identity_roundtrip():

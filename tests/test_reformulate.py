@@ -170,6 +170,8 @@ def test_a_ops_rejects_indefinite_shifted_stiffness():
     with pytest.raises(NotSpdError) as err:
         build_a_ops(ops, 0.0)
     assert "shift" in str(err.value)
+    # the kernel's own reason survives the re-raise
+    assert "the pivot of row" in str(err.value)
 
 
 def _spy_spd_factorizations(monkeypatch):
@@ -219,23 +221,44 @@ def test_baselines_share_one_schur_factor_per_point(monkeypatch):
     assert len(calls) == 2
 
 
+def _calls(tree, name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                yield node
+
+
+def _src_trees():
+    for path in sorted((Path(__file__).parents[1] / "src" / "eddyopt").glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
 def _calls_in_src(name):
     """Module file names under src/eddyopt that call ``name``, as a bare name or an attribute."""
-    callers = set()
-    for path in sorted((Path(__file__).parents[1] / "src" / "eddyopt").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    callers.add(path.name)
-    return callers
+    return {file for file, tree in _src_trees() if any(_calls(tree, name))}
+
+
+def _functions_calling(name):
+    """'module.py:function' for every function under src/eddyopt whose body calls ``name``."""
+    return {
+        f"{file}:{node.name}"
+        for file, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(_calls(node, name))
+    }
 
 
 def test_only_the_space_side_and_the_problem_builder_factorize():
     # SpaceOperators (discretize) owns every SPD factorization; b_lu is the one LU
     assert _calls_in_src("sparse_spd_factorize") == {"discretize.py"}
     assert _calls_in_src("sparse_lu_factorize") == {"reformulate.py"}
+    # SuperLU serves the nonsymmetric LU alone; the band Cholesky kernel stays in lacore
+    assert _calls_in_src("splu") == {"lacore.py"}
+    assert _functions_calling("splu") == {"lacore.py:sparse_lu_factorize"}
+    assert _calls_in_src("dpbtrf") == {"lacore.py"}
+    assert _calls_in_src("dpbtrs") == {"lacore.py"}
 
 
 def test_space_side_factorizes_once_per_shift(monkeypatch):
