@@ -171,31 +171,29 @@ def _build_problem_data(args):
             raise UsageError("--mesh must be at least 1")
         mesh = build_mesh(args.mesh)
         ops = build_operators(mesh, config)
-    example = {"ex1": "ex1", "ex2": "ex2-slice", "file": "file"}[args.example]
-    if example == "file":
+    if args.example == "file":
         if args.yd_file is None:
             raise UsageError("--example file needs --yd-file")
-        table = np.loadtxt(args.yd_file)
-        if table.ndim == 1:
-            table = table[:, None]
-        if table.shape != (ops.n, grid.m_t):
+        yd = np.loadtxt(args.yd_file)
+        if yd.ndim == 1:
+            yd = yd[:, None]
+        if yd.shape != (ops.n, grid.m_t):
             raise UsageError(
-                f"desired-state table has shape {table.shape}, expected ({ops.n}, {grid.m_t})"
+                f"desired-state table has shape {yd.shape}, expected ({ops.n}, {grid.m_t})"
             )
-        if not np.isfinite(table).all():
-            row, col = np.argwhere(~np.isfinite(table))[0]
+        if not np.isfinite(yd).all():
+            row, col = np.argwhere(~np.isfinite(yd))[0]
             raise UsageError(
-                f"--yd-file {args.yd_file}: non-finite entry {table[row, col]} "
+                f"--yd-file {args.yd_file}: non-finite entry {yd[row, col]} "
                 f"at row {row}, column {col} (counted from 0)"
             )
-        yd = table
     else:
         if mesh is None:
             raise UsageError(
                 "built-in examples need node coordinates; with --matrices use "
                 "--example file and --yd-file"
             )
-        yd = sample_desired_state(example, mesh, grid)
+        yd = sample_desired_state({"ex1": "ex1", "ex2": "ex2-slice"}[args.example], mesh, grid)
     return ops, config, grid, yd
 
 
@@ -203,20 +201,15 @@ def _solve_point(method: str, ops, config, grid, yd):
     """Dispatch one solve; returns (row dict, factors-or-None, trajectory-or-None)."""
     yd_lr = lowrank_desired(yd, config.trunc_tol) if method in ("skpik", "lrminres") else None
     started = time.perf_counter()
+    factors = traj = None
     if method == "skpik":
         problem = build_sylvester_problem(ops, config, grid, yd_lr)
-        x, report = skpik_solve(problem, config.tol, config.trunc_tol, config.max_it)
-        factors, traj = x, None
-        rank = x.rank
+        factors, report = skpik_solve(problem, config.tol, config.trunc_tol, config.max_it)
     elif method == "lrminres":
         _, report = lrminres_solve(ops, config, grid, yd_lr)
         factors = report.extra["solution"]
-        traj = None
-        rank = factors.rank
     elif method == "fminres":
         traj, report = fminres_solve(ops, config, grid, yd)
-        factors = None
-        rank = None
     else:
         raise UsageError(f"unknown method {method!r}")
     row = {
@@ -226,7 +219,7 @@ def _solve_point(method: str, ops, config, grid, yd):
         "mT": grid.m_t,
         "sigma": config.sigma,
         "beta": config.beta,
-        "rank": rank,
+        "rank": None if factors is None else factors.rank,
         "iters": report.iterations,
         "seconds": time.perf_counter() - started,
         "residual": report.residual,
@@ -319,84 +312,61 @@ def _validate_sweep_spec(spec: dict):
 
 
 def _sweep_points(spec: dict):
-    sources = [("mesh", m) for m in spec.get("meshes", [])] or [
-        ("dir", d) for d in spec.get("matrix_dirs", [])
+    """The flags ``eddyopt solve`` would parse for each point, in row order."""
+    sources = [{"mesh": m, "matrices": None} for m in spec.get("meshes", [])] or [
+        {"mesh": None, "matrices": d} for d in spec.get("matrix_dirs", [])
     ]
     for source, mt, sigma, beta, method in itertools.product(
         sources, spec["mts"], spec["sigmas"], spec["betas"], spec["methods"]
     ):
-        yield {
-            "source": source,
-            "mT": int(mt),
-            "sigma": float(sigma),
-            "beta": float(beta),
-            "method": method,
-            "nu": float(spec.get("nu", 1.0)),
-            "ereg": spec.get("ereg"),
-            "shift": spec.get("shift"),
-            "tol": float(spec.get("tol", 1e-6)),
-            "trunc_tol": float(spec.get("trunc_tol", 1e-10)),
-            "max_it": int(spec.get("max_it", 500)),
-            "example": spec.get("example", "ex1"),
-            "yd_file": spec.get("yd_file"),
-        }
+        yield argparse.Namespace(
+            method=method,
+            **source,
+            mT=int(mt),
+            sigma=float(sigma),
+            beta=float(beta),
+            nu=float(spec.get("nu", 1.0)),
+            ereg=spec.get("ereg"),
+            shift=spec.get("shift"),
+            tol=float(spec.get("tol", 1e-6)),
+            trunc_tol=float(spec.get("trunc_tol", 1e-10)),
+            max_it=int(spec.get("max_it", 500)),
+            example=spec.get("example", "ex1"),
+            yd_file=spec.get("yd_file"),
+        )
 
 
-def _run_sweep_point(point: dict) -> tuple[list, str | None]:
+def _csv_row(record: dict) -> list:
+    """``record`` cut to CSV_HEADER: None is an empty cell, a bool is true/false."""
+    cells = []
+    for key in CSV_HEADER:
+        value = record.get(key)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        cells.append("" if value is None else value)
+    return cells
+
+
+def _run_sweep_point(args) -> tuple[list, str | None]:
     """One sweep point; returns its CSV row and, if it failed, the reason.
 
-    A failed point becomes a non-converged row; the reason reads
+    A failed point becomes a row that keeps only its parameters and
+    ``converged=false``; the reason reads
     ``method source mT sigma beta: ExceptionClass: message``.
     """
-    ns = argparse.Namespace(
-        mT=point["mT"],
-        sigma=point["sigma"],
-        beta=point["beta"],
-        nu=point["nu"],
-        ereg=point["ereg"],
-        shift=point["shift"],
-        tol=point["tol"],
-        trunc_tol=point["trunc_tol"],
-        max_it=point["max_it"],
-        example=point["example"],
-        yd_file=point["yd_file"],
-        mesh=point["source"][1] if point["source"][0] == "mesh" else None,
-        matrices=point["source"][1] if point["source"][0] == "dir" else None,
-    )
     try:
-        ops, config, grid, yd = _build_problem_data(ns)
-        row, _, _ = _solve_point(point["method"], ops, config, grid, yd)
+        ops, config, grid, yd = _build_problem_data(args)
+        record, _, _ = _solve_point(args.method, ops, config, grid, yd)
     except (UsageError, ValueError, LinAlgFailure, OSError) as exc:
-        # failed points stay in the CSV as non-converged rows
-        kind, source = point["source"]
+        source = f"dir={args.matrices}" if args.matrices is not None else f"mesh={args.mesh}"
         reason = (
-            f"{point['method']} {kind}={source} {point['mT']} {point['sigma']!r} "
-            f"{point['beta']!r}: {type(exc).__name__}: {exc}"
+            f"{args.method} {source} {args.mT} {args.sigma!r} {args.beta!r}: "
+            f"{type(exc).__name__}: {exc}"
         )
-        return [
-            point["method"],
-            "",
-            point["mT"],
-            repr(point["sigma"]),
-            repr(point["beta"]),
-            "",
-            "",
-            "",
-            "",
-            "false",
-        ], reason
-    return [
-        row["method"],
-        row["n"],
-        row["mT"],
-        repr(row["sigma"]),
-        repr(row["beta"]),
-        "" if row["rank"] is None else row["rank"],
-        row["iters"],
-        repr(row["seconds"]),
-        repr(row["residual"]),
-        "true" if row["converged"] else "false",
-    ], None
+        record = {"method": args.method, "mT": args.mT, "sigma": args.sigma,
+                  "beta": args.beta, "converged": False}
+        return _csv_row(record), reason
+    return _csv_row(record), None
 
 
 def cmd_sweep(args) -> int:

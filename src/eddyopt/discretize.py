@@ -92,8 +92,6 @@ class ProblemConfig:
     trunc_tol: float = 1e-10
     max_it: int = 500
 
-    y0 = 0.0  # initial state, fixed
-
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
@@ -274,30 +272,19 @@ def _target_profile_product_sine(nodes: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
 
 
-def sample_desired_state(example: str, mesh: Mesh2D, grid: TimeGrid, values=None) -> np.ndarray:
-    """Nodal samples of the target state, one column per time step.
+def sample_desired_state(example: str, mesh: Mesh2D, grid: TimeGrid) -> np.ndarray:
+    """Nodal samples of a built-in target state, one column per time step.
 
-    ``example`` selects the built-in targets ('ex1': discontinuous
-    split-domain profile, 'ex2-slice': product of sines), both constant
-    in time, or 'file', in which case ``values`` must hold an
-    (n, m_t) table.
+    ``example`` selects 'ex1' (discontinuous split-domain profile) or
+    'ex2-slice' (product of sines); both are constant in time.  Only the
+    built-in targets are sampled here: a table of values enters through
+    the CLI (``--yd-file`` or a sweep spec's ``yd_file``), which checks
+    its shape and entries, or goes to :func:`lowrank_desired` directly.
     """
     if example == "ex1":
         profile = _target_profile_split_domain(mesh.nodes)
     elif example == "ex2-slice":
         profile = _target_profile_product_sine(mesh.nodes)
-    elif example == "file":
-        if values is None:
-            raise ValueError("example 'file' needs an (n, m_t) table of values")
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape != (mesh.n_nodes, grid.m_t):
-            raise ValueError(
-                f"desired-state table has shape {values.shape}, "
-                f"expected ({mesh.n_nodes}, {grid.m_t})"
-            )
-        return values
     else:
         raise ValueError(f"unknown desired-state example {example!r}")
     return np.repeat(profile[:, None], grid.m_t, axis=1)

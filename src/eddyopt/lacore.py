@@ -36,7 +36,6 @@ __all__ = [
     "truncate_cores",
     "lowrank_from_dense",
     "real_schur",
-    "quasi_triangular_eigenvalues",
     "solve_sylvester_dense",
     "SparseFactorization",
     "sparse_spd_factorize",
@@ -122,13 +121,13 @@ class LowRankMatrix:
         return cls(np.zeros((n, 0)), np.zeros((m, 0)))
 
 
-def mgs_orthonormalize(block, against=None, drop_tol: float = DEFLATION_RTOL):
+def mgs_orthonormalize(block, against=None):
     """Orthonormalize the columns of ``block`` by modified Gram-Schmidt.
 
     Columns are first orthogonalized against the orthonormal columns of
     ``against`` (if given) and then against the previously accepted
     columns; a second full pass is always applied.  A column whose norm
-    after projection is below ``drop_tol`` times its original norm is
+    after projection is below ``DEFLATION_RTOL`` times its original norm is
     dropped.  Returns a matrix with orthonormal columns spanning the
     surviving directions; it has zero columns if everything deflated.
     """
@@ -152,7 +151,7 @@ def mgs_orthonormalize(block, against=None, drop_tol: float = DEFLATION_RTOL):
             for q in kept:
                 v -= q * (q @ v)
         nrm = np.linalg.norm(v)
-        if nrm < drop_tol * pre:
+        if nrm < DEFLATION_RTOL * pre:
             continue
         kept.append(v / nrm)
     if not kept:
@@ -296,14 +295,14 @@ def real_schur(a):
     return q, t
 
 
-def quasi_triangular_eigenvalues(t, tol=0.0):
+def _quasi_triangular_eigenvalues(t):
     """Eigenvalues read off the 1x1 / 2x2 diagonal blocks of a Schur factor."""
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
     eigs = []
     i = 0
     while i < n:
-        if i == n - 1 or abs(t[i + 1, i]) <= tol:
+        if i == n - 1 or t[i + 1, i] == 0.0:
             eigs.append(complex(t[i, i]))
             i += 1
         else:
@@ -317,8 +316,8 @@ def quasi_triangular_eigenvalues(t, tol=0.0):
 
 
 def _nearest_eigen_collision(ra, rb):
-    la_ = quasi_triangular_eigenvalues(ra)
-    lb = quasi_triangular_eigenvalues(rb)
+    la_ = _quasi_triangular_eigenvalues(ra)
+    lb = _quasi_triangular_eigenvalues(rb)
     gap = np.abs(la_[:, None] + lb[None, :])
     i, j = np.unravel_index(np.argmin(gap), gap.shape)
     return la_[i], lb[j], gap[i, j]
@@ -493,6 +492,25 @@ def _mm_fail(lineno: int, msg: str):
     raise MatrixMarketError(f"line {lineno}: {msg}")
 
 
+def _mm_sizes(lines, form: str) -> tuple[int, list[int]]:
+    """The size line's index and its nonnegative integers, one per word of ``form``."""
+    idx = 1
+    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
+        idx += 1
+    if idx == len(lines):
+        _mm_fail(len(lines), "missing size line")
+    parts = lines[idx].split()
+    if len(parts) != len(form.split()):
+        _mm_fail(idx + 1, f"size line must be '{form}'")
+    try:
+        sizes = [int(p) for p in parts]
+    except ValueError:
+        _mm_fail(idx + 1, f"size line '{form}' must hold integers")
+    if min(sizes) < 0:
+        _mm_fail(idx + 1, "negative dimension")
+    return idx, sizes
+
+
 def mm_read(path) -> sp.csr_matrix:
     """Read a real coordinate Matrix Market file into CSR storage.
 
@@ -516,20 +534,7 @@ def mm_read(path) -> sp.csr_matrix:
     if symmetry not in ("general", "symmetric"):
         _mm_fail(1, f"unsupported symmetry {symmetry!r}")
 
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx == len(lines):
-        _mm_fail(len(lines), "missing size line")
-    parts = lines[idx].split()
-    if len(parts) != 3:
-        _mm_fail(idx + 1, "size line must be 'rows cols nnz'")
-    try:
-        nrows, ncols, nnz = (int(p) for p in parts)
-    except ValueError:
-        _mm_fail(idx + 1, "size line must hold three integers")
-    if nrows < 0 or ncols < 0 or nnz < 0:
-        _mm_fail(idx + 1, "negative dimension")
+    idx, (nrows, ncols, nnz) = _mm_sizes(lines, "rows cols nnz")
     if symmetry == "symmetric" and nrows != ncols:
         _mm_fail(idx + 1, "symmetric matrix must be square")
 
@@ -601,15 +606,7 @@ def mm_read_dense(path) -> np.ndarray:
         _mm_fail(1, "expected banner '%%MatrixMarket matrix array real general'")
     if banner[3].lower() != "real":
         _mm_fail(1, f"unsupported field {banner[3]!r} (only 'real')")
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx == len(lines):
-        _mm_fail(len(lines), "missing size line")
-    parts = lines[idx].split()
-    if len(parts) != 2:
-        _mm_fail(idx + 1, "size line must be 'rows cols'")
-    nrows, ncols = int(parts[0]), int(parts[1])
+    idx, (nrows, ncols) = _mm_sizes(lines, "rows cols")
     vals = []
     for lineno in range(idx + 1, len(lines)):
         text = lines[lineno].strip()

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -214,6 +215,16 @@ def test_solve_rejects_non_finite_target_entry(tmp_path, capsys):
     assert "non-finite entry nan at row 4, column 1" in err
 
 
+def test_solve_rejects_target_table_of_wrong_shape(tmp_path, capsys):
+    yd_file = tmp_path / "yd.txt"
+    np.savetxt(yd_file, np.ones((9, 3)))
+    assert run_cli(
+        "solve", "--method", "skpik", "--mesh", "2", "--mT", "2", "--sigma", "1",
+        "--beta", "1", "--example", "file", "--yd-file", str(yd_file),
+    ) == 1
+    assert "desired-state table has shape (9, 3), expected (9, 2)" in capsys.readouterr().err
+
+
 def test_solve_import_mode_requires_yd_file(tmp_path, capsys):
     opsdir = tmp_path / "ops"
     run_cli("generate", "--mesh", "2", "--out", str(opsdir))
@@ -338,20 +349,62 @@ def test_sweep_matrix_dirs_need_target_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_parallel_jobs_match_serial(tmp_path):
+def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "3", "--out", str(opsdir))
+    yd_file = tmp_path / "target.txt"
+    np.savetxt(yd_file, np.outer(np.linspace(0.0, 1.0, 16), [1.0, 0.5]))
+    specs = [
+        ({"methods": ["skpik"], "betas": [1e-2, 1e-4]}, ["true", "true"]),
+        # the missing directory's points fail: their rows and reasons are compared too
+        ({"methods": ["skpik", "fminres"], "betas": [1e-2], "meshes": [],
+          "matrix_dirs": [str(opsdir), str(tmp_path / "nope")],
+          "example": "file", "yd_file": str(yd_file)}, ["true", "true", "false", "false"]),
+    ]
+    for i, (overrides, converged) in enumerate(specs):
+        spec = tmp_path / f"spec{i}.json"
+        _write_spec(spec, **overrides)
+        outs, errs = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"rows{i}.j{jobs}.csv"
+            assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs) == 0
+            outs.append([line.split(",") for line in out.read_text().strip().splitlines()])
+            errs.append(capsys.readouterr().err)
+        rows1, rows2 = outs
+        assert [row[-1] for row in rows1[1:]] == converged
+        assert len(rows2) == len(rows1)
+        seconds_col = rows1[0].index("seconds")
+        for a, b in zip(rows1, rows2):
+            assert a[:seconds_col] + a[seconds_col + 1:] == b[:seconds_col] + b[seconds_col + 1:]
+        assert errs[0] == errs[1]
+        assert errs[0].count("UsageError") == converged.count("false")
+
+
+def test_sweep_rows_are_the_solve_record_cut_to_the_header(tmp_path):
     spec = tmp_path / "spec.json"
-    _write_spec(spec, methods=["skpik"], betas=[1e-2, 1e-4])
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "par.csv"
-    run_cli("sweep", "--spec", str(spec), "--out", str(out1))
-    run_cli("sweep", "--spec", str(spec), "--out", str(out2), "--jobs", "2")
-    rows1 = [line.split(",") for line in out1.read_text().strip().splitlines()]
-    rows2 = [line.split(",") for line in out2.read_text().strip().splitlines()]
-    seconds_col = rows1[0].index("seconds")
-    for a, b in zip(rows1, rows2):
-        for idx, (va, vb) in enumerate(zip(a, b)):
-            if idx != seconds_col:
-                assert va == vb
+    out = tmp_path / "rows.csv"
+    methods = ["skpik", "lrminres", "fminres"]
+    _write_spec(spec, methods=methods, betas=[1e-2], mts=[3])
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == methods
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)  # a float's str is its shortest round-trip repr
+
+    for method, row in zip(methods, rows):
+        result = tmp_path / f"{method}.json"
+        run_cli("solve", "--method", method, "--mesh", "3", "--mT", "3", "--sigma", "1",
+                "--beta", "1e-2", "--out", str(result))
+        record = json.loads(result.read_text())
+        for key in cli.CSV_HEADER:
+            if key != "seconds":
+                assert row[key] == cell(record[key]), (method, key)
 
 
 # ---------------------------------------------------------------------------

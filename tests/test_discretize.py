@@ -185,20 +185,17 @@ def test_desired_state_time_constant_is_rank_one():
     assert np.linalg.matrix_rank(yd) == 1
 
 
-def test_desired_state_second_example_and_file_mode():
+def test_desired_state_second_example_and_unknown_name():
     mesh = build_mesh(3)
     grid = TimeGrid(2)
     yd = sample_desired_state("ex2-slice", mesh, grid)
     mid = np.where((mesh.nodes[:, 0] == 0.5) & (mesh.nodes[:, 1] == 0.5))[0]
     if mid.size:
         assert yd[mid[0], 0] == pytest.approx(1.0)
-    table = np.arange(mesh.n_nodes * grid.m_t, dtype=float).reshape(mesh.n_nodes, grid.m_t)
-    back = sample_desired_state("file", mesh, grid, values=table)
-    assert np.array_equal(back, table)
-    with pytest.raises(ValueError):
-        sample_desired_state("file", mesh, grid, values=table[:-1])
-    with pytest.raises(ValueError):
-        sample_desired_state("nope", mesh, grid)
+    # tables enter through the CLI's --yd-file, not here
+    for name in ("nope", "file"):
+        with pytest.raises(ValueError, match="unknown desired-state example"):
+            sample_desired_state(name, mesh, grid)
 
 
 # ---------------------------------------------------------------------------

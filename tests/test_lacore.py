@@ -736,6 +736,17 @@ def test_mm_rejects_bad_header_and_field(tmp_path):
     with pytest.raises(MatrixMarketError) as err:
         mm_read(path)
     assert "complex" in str(err.value)
+    # a malformed size line names its line in both readers
+    for fmt, size, reader in (
+        ("coordinate", "2 x 1", mm_read),
+        ("coordinate", "-1 -2 0", mm_read),
+        ("array", "2 x", mm_read_dense),
+        ("array", "-1 -2", mm_read_dense),
+    ):
+        path.write_text(f"%%MatrixMarket matrix {fmt} real general\n% comment\n{size}\n")
+        with pytest.raises(MatrixMarketError) as err:
+            reader(path)
+        assert str(err.value).startswith("line 3: "), (size, str(err.value))
 
 
 def test_mm_rejects_out_of_bounds_and_nonreal(tmp_path):
