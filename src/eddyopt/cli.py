@@ -118,7 +118,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_config(args, for_import: bool) -> ProblemConfig:
+# imported operators come with their own diffusion, so nu sets nothing for them
+NU_NOTE = (
+    "is ignored with imported operators: their K is used as read, plus the "
+    "elliptic term eps_reg*M (default eps_reg 1e-6)"
+)
+
+
+def _make_config(args) -> ProblemConfig:
+    """The point's ProblemConfig; with imported operators ``args.nu`` is not used."""
     if args.beta <= 0:
         raise UsageError("--beta must be positive")
     if args.sigma < 0:
@@ -131,13 +139,10 @@ def _make_config(args, for_import: bool) -> ProblemConfig:
         raise UsageError("--trunc-tol must be nonnegative")
     if args.max_it < 1:
         raise UsageError("--max-it must be at least 1")
-    if for_import and args.nu != 1.0:
-        print("note: --nu is ignored with --matrices (operators are used verbatim)",
-              file=sys.stderr)
     return ProblemConfig(
         sigma=args.sigma,
         beta=args.beta,
-        nu=args.nu,
+        nu=args.nu if args.matrices is None else 1.0,
         eps_reg=args.ereg,
         shift=args.shift,
         tol=args.tol,
@@ -159,9 +164,12 @@ def _load_imported_operators(directory: str, config: ProblemConfig) -> SpaceOper
     return SpaceOperators(mass, add_elliptic_term(stiff, mass, config), mass.shape[0])
 
 
-def _build_problem_data(args):
-    """Operators, grid, config, and dense desired state from solve-style flags."""
-    config = _make_config(args, for_import=args.matrices is not None)
+def _load_source(args, config: ProblemConfig):
+    """Operators, grid and dense desired state of the flags' source and mT.
+
+    Neither depends on sigma or beta, so one load serves every point
+    that shares the source and mT.
+    """
     grid = TimeGrid(args.mT)
     if args.matrices is not None:
         ops = _load_imported_operators(args.matrices, config)
@@ -194,7 +202,7 @@ def _build_problem_data(args):
                 "--example file and --yd-file"
             )
         yd = sample_desired_state({"ex1": "ex1", "ex2": "ex2-slice"}[args.example], mesh, grid)
-    return ops, config, grid, yd
+    return ops, grid, yd
 
 
 def _solve_point(method: str, ops, config, grid, yd):
@@ -235,7 +243,10 @@ def _solve_point(method: str, ops, config, grid, yd):
 
 
 def cmd_solve(args) -> int:
-    ops, config, grid, yd = _build_problem_data(args)
+    if args.matrices is not None and args.nu != 1.0:
+        print(f"note: --nu {NU_NOTE}", file=sys.stderr)
+    config = _make_config(args)
+    ops, grid, yd = _load_source(args, config)
     try:
         row, factors, traj = _solve_point(args.method, ops, config, grid, yd)
     except FminresStepError as exc:
@@ -347,26 +358,42 @@ def _csv_row(record: dict) -> list:
     return cells
 
 
-def _run_sweep_point(args) -> tuple[list, str | None]:
-    """One sweep point; returns its CSV row and, if it failed, the reason.
+def _failed_point(args, exc: Exception) -> tuple[list, str]:
+    """The row of a failed point, keeping only its parameters, and the reason.
 
-    A failed point becomes a row that keeps only its parameters and
-    ``converged=false``; the reason reads
-    ``method source mT sigma beta: ExceptionClass: message``.
+    The reason reads ``method source mT sigma beta: ExceptionClass: message``.
     """
+    source = f"dir={args.matrices}" if args.matrices is not None else f"mesh={args.mesh}"
+    reason = (
+        f"{args.method} {source} {args.mT} {args.sigma!r} {args.beta!r}: "
+        f"{type(exc).__name__}: {exc}"
+    )
+    record = {"method": args.method, "mT": args.mT, "sigma": args.sigma,
+              "beta": args.beta, "converged": False}
+    return _csv_row(record), reason
+
+
+def _run_sweep_group(points: list) -> list[tuple[list, str | None]]:
+    """The points of one source and mT, on one operator set and one target table.
+
+    Returns each point's CSV row and, if it failed, the reason.  A source
+    that cannot be loaded fails every point of the group.
+    """
+    failures = (UsageError, ValueError, LinAlgFailure, OSError)
     try:
-        ops, config, grid, yd = _build_problem_data(args)
-        record, _, _ = _solve_point(args.method, ops, config, grid, yd)
-    except (UsageError, ValueError, LinAlgFailure, OSError) as exc:
-        source = f"dir={args.matrices}" if args.matrices is not None else f"mesh={args.mesh}"
-        reason = (
-            f"{args.method} {source} {args.mT} {args.sigma!r} {args.beta!r}: "
-            f"{type(exc).__name__}: {exc}"
-        )
-        record = {"method": args.method, "mT": args.mT, "sigma": args.sigma,
-                  "beta": args.beta, "converged": False}
-        return _csv_row(record), reason
-    return _csv_row(record), None
+        ops, grid, yd = _load_source(points[0], _make_config(points[0]))
+    except failures as exc:
+        return [_failed_point(args, exc) for args in points]
+    results = []
+    for args in points:
+        try:
+            config = _make_config(args)
+            record, _, _ = _solve_point(args.method, ops, config, grid, yd)
+        except failures as exc:
+            results.append(_failed_point(args, exc))
+        else:
+            results.append((_csv_row(record), None))
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -378,13 +405,22 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"sweep spec is not valid JSON: {exc}") from exc
     _validate_sweep_spec(spec)
-    points = list(_sweep_points(spec))
+    if spec.get("matrix_dirs") and float(spec.get("nu", 1.0)) != 1.0:
+        print(f"note: the spec key 'nu' {NU_NOTE}", file=sys.stderr)
+    # row order puts source and mT outermost, so each group is a run of rows
+    groups = [
+        list(group)
+        for _, group in itertools.groupby(
+            _sweep_points(spec), key=lambda p: (p.mesh, p.matrices, p.mT)
+        )
+    ]
     jobs = max(1, args.jobs)
     if jobs == 1:
-        results = [_run_sweep_point(p) for p in points]
+        results = [_run_sweep_group(group) for group in groups]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_sweep_point, points))
+            results = list(pool.map(_run_sweep_group, groups))
+    results = [point for group in results for point in group]
     rows = [row for row, _ in results]
     for _, reason in results:
         if reason is not None:

@@ -9,8 +9,10 @@ imported instead through the Matrix Market readers.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +40,11 @@ __all__ = [
 REG_NONE = 0
 REG_CONDUCTIVITY = 2
 REG_ELLIPTIC = 3
+
+# entries a SpaceOperators keeps, shifted factors and extended Krylov spaces
+# together, evicting the least recently used: the desk grid keeps four per
+# operator set (the factor of K and one space per time grid)
+CACHE_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -138,12 +145,15 @@ class ProblemConfig:
 class SpaceOperators:
     """Assembled (or imported) mass and stiffness matrices.
 
-    The object also owns their sparse factorizations: M, and K + s M for
-    each shift s asked for.  Each is computed on first use and kept, so
-    every problem and solver built on the same operators shares them.
-    The factors pickle, but a worker process should still get the data
-    and build its own operators: a pickled object carries every factor
-    it has computed so far.
+    The object also owns what every problem built on them can share:
+    the factorization of M, kept for its lifetime, and a store of at most
+    ``CACHE_ENTRIES`` further entries, the factorizations of K + s M for
+    each shift s asked for and the extended Krylov spaces of the solver.
+    Each entry is computed on first use; once the store is full, the
+    entry used least recently is dropped and recomputed, identically,
+    when it is asked for again.  The entries pickle, but a worker
+    process should still get the data and build its own operators: a
+    pickled object carries every entry computed so far.
     """
 
     mass: sp.csr_matrix
@@ -155,15 +165,28 @@ class SpaceOperators:
         return sparse_spd_factorize(self.mass)
 
     @cached_property
-    def _shifted_factors(self) -> dict[float, SparseFactorization]:
-        return {}
+    def _store(self) -> OrderedDict:
+        return OrderedDict()
+
+    def cached(self, key, build: Callable[[], object]):
+        """The entry under ``key``, made by ``build()`` if it is not kept."""
+        store = self._store
+        if key in store:
+            store.move_to_end(key)
+            return store[key]
+        value = store[key] = build()
+        while len(store) > CACHE_ENTRIES:
+            store.popitem(last=False)
+        return value
 
     def shifted_factor(self, shift: float) -> SparseFactorization:
         """The factorization of K + shift*M; raises NotSpdError if it is not SPD."""
-        if shift not in self._shifted_factors:
+
+        def factorize():
             shifted = self.stiffness if shift == 0 else (self.stiffness + shift * self.mass).tocsr()
-            self._shifted_factors[shift] = sparse_spd_factorize(shifted)
-        return self._shifted_factors[shift]
+            return sparse_spd_factorize(shifted)
+
+        return self.cached(("shifted factor", shift), factorize)
 
 
 def build_mesh(cells_per_side: int) -> Mesh2D:

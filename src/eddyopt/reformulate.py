@@ -28,6 +28,7 @@ from .lacore import (
     LowRankMatrix,
     NotSpdError,
     SparseFactorization,
+    mgs_orthonormalize,
     sparse_lu_factorize,
 )
 
@@ -159,11 +160,15 @@ class SylvesterProblem:
     operator and its inverse through the factorizations that the
     :class:`SpaceOperators` own.  ``b_matrix`` is the shifted time
     coupling B - shift*I, and ``g`` = sigma/tau and ``w`` = 1/sqrt(beta)
-    are the coefficients it was built from.  No solver uses ``b_lu``, the
-    LU factorization of ``b_matrix``; it stays only because the
-    benchmark's tracer wraps it, until the next change to the benchmark.
-    The object is immutable in use and safe to share between concurrent
-    solves.
+    are the coefficients it was built from.  ``seed`` is the orthonormal
+    basis ``mgs_orthonormalize(Y1)`` of the range of R1 = Y1/sqrt(beta):
+    it does not depend on beta, so every problem on ``ops`` with the same
+    shift and target range shares one extended Krylov space, which
+    ``ops`` keeps.  No solver uses ``b_lu``, the LU factorization of
+    ``b_matrix``; it stays only because the benchmark's tracer wraps it,
+    until the next change to the benchmark.  The object is immutable in
+    use; the spaces it shares grow as solves ask for them, so solves on
+    one ``ops`` must not run in concurrent threads.
     """
 
     n: int
@@ -177,6 +182,8 @@ class SylvesterProblem:
     shift: float
     g: float
     w: float
+    ops: SpaceOperators
+    seed: np.ndarray
 
 
 def build_sylvester_problem(
@@ -225,6 +232,8 @@ def build_sylvester_problem(
         shift=shift,
         g=g,
         w=w,
+        ops=ops,
+        seed=mgs_orthonormalize(yd_lowrank.left),
     )
 
 

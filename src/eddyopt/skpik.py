@@ -2,7 +2,10 @@
 
 Only the large space operator A is projected: the left space is grown
 from the left right-hand-side factor with A and its inverse, and its
-image A U is kept so that A is applied once per basis column.  The
+image A U is kept so that A is applied once per basis column.  A does
+not depend on sigma, beta or the time grid, so the space is shared: the
+operators keep one :class:`ExtendedSpace` per shift and target range,
+and every solve runs its sweeps on prefixes of it.  The
 projected equation T_a Z + Z B = (U^T R1) R2^T keeps the small, sparse
 time coupling B whole and is solved exactly: one shifted system
 (theta I + B^T) per Ritz value theta of T_a = U^T A U, which reduces to
@@ -22,7 +25,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg.lapack import dptsv, zgtsv
@@ -40,6 +43,7 @@ from .reformulate import SylvesterProblem
 
 __all__ = [
     "SolveReport",
+    "ExtendedSpace",
     "KpikState",
     "TimeSideSolver",
     "skpik_init",
@@ -78,34 +82,54 @@ class SolveReport:
     extra: dict = field(default_factory=dict)
 
 
-class _ExtendedBasis:
-    """The extended Krylov space of the space operator.
+@dataclass(frozen=True)
+class _Prefix:
+    """What a sweep on the first ``dim`` columns U of an extended space needs.
+
+    t_a = U^T A U with its real Schur form (q, s), and the triangular
+    factor r of (I - U U^T) A U.  Each is computed from these columns
+    alone, once, when they join the space, so a prefix is the same
+    however far the space has grown since.
+    """
+
+    dim: int
+    t_a: np.ndarray
+    schur: tuple[np.ndarray, np.ndarray]
+    r: np.ndarray
+
+
+class ExtendedSpace:
+    """The extended Krylov space of the space operator A from one seed.
 
     Keeps an orthonormal basis U with its image A U, together with the
     two seed blocks that the next extension advances: the forward block
     is mapped by the operator, the inverse block by its inverse.  The
     forward block is a column block of U, so its image is read from the
     cached A U instead of being computed again.  Either block may
-    deflate to nothing; once both are empty the space is closed.  U and
-    A U are views of buffers whose capacity doubles when it runs out, so
-    a sweep copies only the columns it adds.
+    deflate to nothing; once both are empty the space is closed.
+
+    ``prefix(j)`` is the space after j extensions (j = 0 is the seed and
+    its inverse image), grown lazily one block at a time.  A depends on
+    neither sigma nor beta nor the time grid, so every problem on one
+    operator set with the same shift and seed runs on prefixes of one
+    space, and its first columns are a function of (operators, shift,
+    seed, j) only.  U and A U live in column-major buffers whose
+    capacity doubles when it runs out: a prefix of them is laid out the
+    same at any capacity, so the products a solve forms with it do not
+    change bits with the growth history.
     """
 
-    def __init__(self, apply_fwd: Callable, apply_inv: Callable, seed: np.ndarray):
-        self.apply_fwd = apply_fwd
-        self.apply_inv = apply_inv
-        q_fwd = mgs_orthonormalize(seed)
-        if q_fwd.shape[1] == 0:
+    def __init__(self, seed: np.ndarray):
+        if seed.shape[1] == 0:
             raise StagnationError("right-hand-side factor deflated to an empty basis")
-        q_inv = mgs_orthonormalize(apply_inv(q_fwd), against=q_fwd)
+        self.seed = seed
         self.dim = 0
-        self._basis = np.empty((seed.shape[0], 0))
-        self._image = np.empty((seed.shape[0], 0))
-        self._append(q_fwd)
-        self._append(q_inv)
-        self._image[:, : self.dim] = apply_fwd(self.basis)
-        self.fwd_cols = slice(0, q_fwd.shape[1])
-        self.block_inv = q_inv
+        self._basis = np.empty((seed.shape[0], 0), order="F")
+        self._image = np.empty((seed.shape[0], 0), order="F")
+        # the seed is the first forward block and the first block to invert
+        self.fwd_cols = slice(0, 0)
+        self.block_inv = seed
+        self.prefixes: list[_Prefix] = []
 
     @property
     def basis(self) -> np.ndarray:
@@ -117,39 +141,69 @@ class _ExtendedBasis:
 
     @property
     def closed(self) -> bool:
-        return self.fwd_cols.start == self.fwd_cols.stop and self.block_inv.shape[1] == 0
+        fwd_empty = self.fwd_cols.start == self.fwd_cols.stop
+        return self.dim > 0 and fwd_empty and self.block_inv.shape[1] == 0
 
     def _append(self, cols: np.ndarray) -> None:
         """Append orthonormal columns to U; their image is filled in by the caller."""
         end = self.dim + cols.shape[1]
         if end > self._basis.shape[1]:
-            # up to three columns fill their buffers exactly: BLAS sums a
-            # contiguous block that narrow in another order than a strided
-            # view, which would move the last bits of the results
-            capacity = end if end <= 3 else max(end, 2 * self._basis.shape[1])
+            capacity = max(end, 2 * self._basis.shape[1])
             for name in ("_basis", "_image"):
-                grown = np.empty((cols.shape[0], capacity))
+                grown = np.empty((cols.shape[0], capacity), order="F")
                 grown[:, : self.dim] = getattr(self, name)[:, : self.dim]
                 setattr(self, name, grown)
         self._basis[:, self.dim : end] = cols
         self.dim = end
 
-    def extend(self) -> np.ndarray:
-        """Advance the seed blocks; returns the newly added orthonormal columns."""
-        n, start = self._basis.shape[0], self.dim
-        if self.fwd_cols.start < self.fwd_cols.stop:
-            q_fwd = mgs_orthonormalize(self.image[:, self.fwd_cols], against=self.basis)
-            self._append(q_fwd)
-        else:
-            q_fwd = np.zeros((n, 0))
+    def _extend(self, problem: SylvesterProblem) -> None:
+        """Advance the seed blocks with the problem's operator and its inverse."""
+        start = self.dim
+        if start == 0:
+            self._append(self.seed)
+        elif self.fwd_cols.start < self.fwd_cols.stop:
+            self._append(mgs_orthonormalize(self.image[:, self.fwd_cols], against=self.basis))
         self.fwd_cols = slice(start, self.dim)
         if self.block_inv.shape[1]:
-            self.block_inv = mgs_orthonormalize(self.apply_inv(self.block_inv), against=self.basis)
+            inverse = problem.apply_a_inv(self.block_inv)
+            self.block_inv = mgs_orthonormalize(inverse, against=self.basis)
             self._append(self.block_inv)
-        new = np.hstack([q_fwd, self.block_inv])
-        if new.shape[1]:
-            self._image[:, start : self.dim] = self.apply_fwd(new)
-        return new
+        if self.dim > start:
+            self._image[:, start : self.dim] = problem.apply_a(self._basis[:, start : self.dim])
+
+    def prefix(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> _Prefix:
+        """The space after j extensions, grown with the problem's operator if need be.
+
+        The growth is charged to ``phases`` of the caller: the sparse
+        solves and Gram-Schmidt to ``extend``, the new block of t_a and
+        its Schur form to ``project``, the QR of (I - U U^T) A U to
+        ``residual``.  Once the space is closed every further prefix is
+        the last one.
+        """
+        while len(self.prefixes) <= j and not self.closed:
+            start = self.dim
+            with _phase(phases, "extend"):
+                self._extend(problem)
+            if self.dim == start:  # closed: nothing new to project
+                self.prefixes.append(self.prefixes[-1])
+                continue
+            with _phase(phases, "project"):
+                u_new, a_new = self.basis[:, start:], self.image[:, start:]
+                if self.prefixes:
+                    u_old, a_old = self.basis[:, :start], self.image[:, :start]
+                    t_a = np.block(
+                        [
+                            [self.prefixes[-1].t_a, u_old.T @ a_new],
+                            [u_new.T @ a_old, u_new.T @ a_new],
+                        ]
+                    )
+                else:
+                    t_a = u_new.T @ a_new
+                schur = real_schur(t_a)
+            with _phase(phases, "residual"):
+                r = np.linalg.qr(self.image - self.basis @ t_a, mode="r")
+            self.prefixes.append(_Prefix(self.dim, t_a, schur, r))
+        return self.prefixes[min(j, len(self.prefixes) - 1)]
 
 
 class TimeSideSolver:
@@ -212,24 +266,24 @@ class TimeSideSolver:
             )
         return x
 
-    def solve(self, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Return the real Z with t Z + Z B = c.
+    def solve(self, schur: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> np.ndarray:
+        """Return the real Z with t Z + Z B = c, given the real Schur form (q, s) of t.
 
-        t is brought to real Schur form q s q^T and the rows of q^T Z are
-        found from the last upwards, one shifted solve per 1x1 block.  A
-        2x2 block holds a complex-conjugate pair (mu, conj mu); its two
-        rows are 2 Re(v zeta), with v the eigenvector for mu and zeta
-        from one complex solve with (mu I + B^T).  Raises
-        :class:`SylvesterConditionError` when a shifted system is singular.
+        t = q s q^T (see :func:`~eddyopt.lacore.real_schur`), and the rows
+        of q^T Z are found from the last upwards, one shifted solve per
+        1x1 block of s.  A 2x2 block holds a complex-conjugate pair
+        (mu, conj mu); its two rows are 2 Re(v zeta), with v the
+        eigenvector for mu and zeta from one complex solve with
+        (mu I + B^T).  Raises :class:`SylvesterConditionError` when a
+        shifted system is singular.
         """
-        t = np.asarray(t, dtype=float)
+        q, s = schur
         c = np.asarray(c, dtype=float)
-        if c.shape != (t.shape[0], 2 * self.m_t):
+        if c.shape != (s.shape[0], 2 * self.m_t):
             raise ValueError(
                 f"right-hand side shape {c.shape} does not match "
-                f"({t.shape[0]}, {2 * self.m_t})"
+                f"({s.shape[0]}, {2 * self.m_t})"
             )
-        q, s = real_schur(t)
         f = q.T @ c
         z = np.zeros_like(f)
         hi = s.shape[0]
@@ -250,32 +304,35 @@ class TimeSideSolver:
 class KpikState:
     """Workspace of the projection iteration.
 
-    Holds the left extended Krylov basis U, which caches its image A U,
-    with the projected operator t_a = U^T A U and the projected
-    right-hand-side factor U^T R1; the time-side solver; the norm of
-    R1 R2^T; the solution z of the projected equation, so that the
-    iterate is X = U z; and the triangular factor r of (I - U U^T) A U,
-    so that the residual of any U z' is U (t_a z' + z' B - (U^T R1) R2^T)
-    plus a part of norm ||r z'||_F orthogonal to U.  The history of
-    projected residuals, relative to the norm of R1 R2^T, and the seconds
-    spent per phase sit next to them.
+    Holds the shared extended space and the prefix U of it that the
+    last sweep ran on, with its t_a = U^T A U and the triangular factor
+    r of (I - U U^T) A U; the projected right-hand-side factor
+    U^T R1; the time-side solver; the norm of R1 R2^T; and the solution
+    z of the projected equation, so that the iterate is X = U z.  The
+    residual of any U z' is U (t_a z' + z' B - (U^T R1) R2^T) plus a part
+    of norm ||r z'||_F orthogonal to U.  The history of projected
+    residuals, relative to the norm of R1 R2^T, and the seconds spent per
+    phase sit next to them.
     """
 
-    left: _ExtendedBasis
+    space: ExtendedSpace
+    prefix: _Prefix
     time_side: TimeSideSolver
-    t_a: np.ndarray
     r1_proj: np.ndarray
     rhs_norm: float
+    phases: dict[str, float]
     z: np.ndarray | None = None
-    r: np.ndarray | None = None
     sweeps: int = 0
     residual_history: list[float] = field(default_factory=list)
-    phases: dict[str, float] = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.space.basis[:, : self.prefix.dim]
 
     @property
     def dims(self) -> tuple[int, int]:
         """(dim U, 2 m_t): the time side is the whole axis."""
-        return (self.left.dim, 2 * self.time_side.m_t)
+        return (self.prefix.dim, 2 * self.time_side.m_t)
 
 
 @contextmanager
@@ -317,53 +374,53 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
 
 
 def skpik_init(problem: SylvesterProblem) -> KpikState:
-    """Seed the extended Krylov basis and the projected data.
+    """Start on the seed prefix of the shared space: the orthonormalized [R1, A^{-1} R1].
 
-    The left basis spans the orthonormalized [R1, A^{-1} R1], with
-    dependent directions deflated.
+    Dependent directions are deflated.  The space is the one the
+    problem's operators keep for its shift and seed; if the prefix is not
+    yet grown, growing it is charged to the new state's phases.
     """
     if problem.r1.shape[1] == 0:
         raise ValueError("the right-hand side has rank zero; nothing to iterate on")
-    left = _ExtendedBasis(problem.apply_a, problem.apply_a_inv, problem.r1)
+    phases = dict.fromkeys(PHASES, 0.0)
+    key = ("extended space", problem.shift, problem.seed.shape, problem.seed.tobytes())
+    space = problem.ops.cached(key, lambda: ExtendedSpace(problem.seed))
+    prefix = space.prefix(0, problem, phases)
+    with _phase(phases, "time_side"):
+        r1_proj = space.basis[:, : prefix.dim].T @ problem.r1
     return KpikState(
-        left=left,
+        space=space,
+        prefix=prefix,
         time_side=TimeSideSolver(problem.g, problem.w, problem.shift, problem.m_t),
-        t_a=left.basis.T @ left.image,
-        r1_proj=left.basis.T @ problem.r1,
+        r1_proj=r1_proj,
         rhs_norm=lowrank_norm(LowRankMatrix(problem.r1, problem.r2)),
+        phases=phases,
     )
 
 
 def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
-    """One sweep: extend the left basis, solve the projected equation, record.
+    """One sweep: move to the next prefix of the space, solve the projected equation, record.
 
     The projected equation T_a Z + Z B = (U^T R1) R2^T is solved exactly
     in time, so the Galerkin condition U^T R = 0 holds on the whole time
     axis and the residual of X = U z is (I - U U^T) A U z.  Its norm is
-    recorded relative to that of R1 R2^T.  Raises
-    :class:`StagnationError` when the left space has closed after a
-    projected solution already exists, since no further progress is
-    possible.
+    recorded relative to that of R1 R2^T.  The prefix's t_a, Schur form
+    and r are the space's; only U^T R1, the time side and the residual
+    norm are this problem's own work, charged to ``time_side``.  Raises
+    :class:`StagnationError` when the space has closed after a projected
+    solution already exists, since no further progress is possible.
     """
-    left, phases = state.left, state.phases
-    u_old, a_old = left.basis, left.image
-    with _phase(phases, "extend"):
-        u_new = left.extend()
-    if u_new.shape[1] == 0 and state.z is not None:
+    old = state.prefix.dim
+    state.prefix = prefix = state.space.prefix(state.sweeps + 1, problem, state.phases)
+    if prefix.dim == old and state.z is not None:
         raise StagnationError("the extended Krylov space is exhausted without convergence")
-    with _phase(phases, "project"):
-        if u_new.shape[1]:
-            a_new = left.image[:, u_old.shape[1] :]
-            state.t_a = np.block(
-                [[state.t_a, u_old.T @ a_new], [u_new.T @ a_old, u_new.T @ a_new]]
-            )
+    with _phase(state.phases, "time_side"):
+        if prefix.dim > old:
+            u_new = state.space.basis[:, old : prefix.dim]
             state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
-    with _phase(phases, "time_side"):
-        state.z = state.time_side.solve(state.t_a, state.r1_proj @ problem.r2.T)
-    with _phase(phases, "residual"):
-        # relies on R1 in range(U): R1 is the seed block, up to the 1e-12 deflation tolerance
-        state.r = np.linalg.qr(left.image - left.basis @ state.t_a, mode="r")
-        res = float(np.linalg.norm(state.r @ state.z))
+        state.z = state.time_side.solve(prefix.schur, state.r1_proj @ problem.r2.T)
+        # relies on R1 in range(U): R1 spans the seed, up to the 1e-12 deflation tolerance
+        res = float(np.linalg.norm(prefix.r @ state.z))
     state.residual_history.append(res / state.rhs_norm if state.rhs_norm else res)
     state.sweeps += 1
     return state
@@ -381,9 +438,9 @@ def truncation_residuals(
     Both terms change by one rank-one step from k - 1 to k.
     """
     e = -(state.r1_proj @ problem.r2.T)
-    lead = (state.t_a @ p) * s  # t_a p_j s_j
+    lead = (state.prefix.t_a @ p) * s  # t_a p_j s_j
     trail = (problem.b_matrix.T @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
-    outside = np.cumsum((np.linalg.norm(state.r @ p, axis=0) * s) ** 2)
+    outside = np.cumsum((np.linalg.norm(state.prefix.r @ p, axis=0) * s) ** 2)
     for j in range(s.size):
         e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])
         res = float(np.sqrt(np.sum(e * e) + outside[j]))
@@ -425,7 +482,7 @@ def _compress(
         )
     for k in sorted({k_min, k_cap}):
         with _phase(phases, "compress"):
-            x = LowRankMatrix(state.left.basis @ p[:, :k], qt[:k].T * s[:k])
+            x = LowRankMatrix(state.basis @ p[:, :k], qt[:k].T * s[:k])
         with _phase(phases, "certify"):
             res = factored_residual(x.left, x.right, problem)
         if res <= tol:
@@ -459,8 +516,10 @@ def skpik_solve(
     certified residual; there is no silent success.
     ``extra["stop_reason"]`` is ``"converged"``, ``"stagnation"``,
     ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["phases"]`` holds
-    the seconds spent in each of ``PHASES`` (seeding the basis counts as
-    ``extend``).
+    the seconds spent in each of ``PHASES``.  ``extend``, ``project`` and
+    ``residual`` count only the growth of the shared space that this
+    solve caused (see :meth:`ExtendedSpace.prefix`), and are 0 when every
+    prefix it ran on was grown before.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -483,9 +542,7 @@ def skpik_solve(
         )
         return x, report
 
-    seeding = time.perf_counter()
     state = skpik_init(problem)
-    state.phases["extend"] = time.perf_counter() - seeding
     history = state.residual_history
     while True:
         try:

@@ -182,6 +182,46 @@ def test_solve_with_imported_matrices_matches_mesh_path(tmp_path):
     assert np.array_equal(imported.stiffness.toarray(), built.stiffness.toarray())
 
 
+def test_solve_ignores_nu_with_imported_matrices(tmp_path, capsys):
+    # the default elliptic term on imported K is 1e-6 M, whatever --nu says
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "6", "--out", str(opsdir))
+    yd_file = tmp_path / "yd.txt"
+    np.savetxt(yd_file, np.outer(np.linspace(0.0, 1.0, 49), np.linspace(1.0, 2.0, 8)))
+    capsys.readouterr()
+    records, notes = [], []
+    for nu in ("1", "1000"):
+        out = tmp_path / f"nu{nu}.json"
+        assert run_cli(
+            "solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", "8",
+            "--sigma", "0", "--beta", "1e-2", "--example", "file", "--yd-file", str(yd_file),
+            "--nu", nu, "--out", str(out),
+        ) == 0
+        record = json.loads(out.read_text())
+        del record["seconds"], record["phases"]
+        records.append(record)
+        notes.append(capsys.readouterr().err)
+    assert records[0] == records[1]
+    assert notes[0] == ""
+    assert notes[1].startswith("note: --nu is ignored with imported operators")
+    assert "verbatim" not in notes[1]
+
+
+def test_sweep_prints_the_nu_note_once(tmp_path, capsys):
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "3", "--out", str(opsdir))
+    yd_file = tmp_path / "target.txt"
+    np.savetxt(yd_file, np.outer(np.linspace(0.0, 1.0, 16), [1.0, 0.5]))
+    spec = tmp_path / "spec.json"
+    _write_spec(spec, methods=["skpik"], meshes=[], matrix_dirs=[str(opsdir)],
+                example="file", yd_file=str(yd_file), nu=5.0)
+    capsys.readouterr()
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(tmp_path / "rows.csv")) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["note: the spec key 'nu' is ignored with imported operators: their K is "
+                   "used as read, plus the elliptic term eps_reg*M (default eps_reg 1e-6)"]
+
+
 def test_solve_names_the_asymmetry_of_an_imported_stiffness(tmp_path, capsys):
     opsdir = tmp_path / "ops"
     run_cli("generate", "--mesh", "2", "--out", str(opsdir))
@@ -378,6 +418,55 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
             assert a[:seconds_col] + a[seconds_col + 1:] == b[:seconds_col] + b[seconds_col + 1:]
         assert errs[0] == errs[1]
         assert errs[0].count("UsageError") == converged.count("false")
+
+
+def test_sweep_groups_keep_rows_and_reasons_serial_and_parallel(tmp_path, capsys):
+    # a good imported directory, a missing one and a time grid of 0 steps:
+    # the groups fail or run as a whole, and the rows keep specification order
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "3", "--out", str(opsdir))
+    yd_file = tmp_path / "target.txt"
+    np.savetxt(yd_file, np.outer(np.linspace(0.0, 1.0, 16), [1.0, 0.5]))
+    nope = tmp_path / "nope"
+    spec = tmp_path / "spec.json"
+    _write_spec(spec, methods=["skpik", "lrminres"], sigmas=[1e-4, 1.0], betas=[1e-2],
+                mts=[2, 0], meshes=[], matrix_dirs=[str(opsdir), str(nope)],
+                example="file", yd_file=str(yd_file))
+    outs, errs = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"rows.j{jobs}.csv"
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            row.pop("seconds")
+        outs.append(rows)
+        errs.append(capsys.readouterr().err)
+    assert outs[0] == outs[1] and errs[0] == errs[1]
+    rows = outs[0]
+    assert [(r["mT"], r["sigma"], r["method"]) for r in rows[:4]] == [
+        ("2", "0.0001", "skpik"), ("2", "0.0001", "lrminres"),
+        ("2", "1.0", "skpik"), ("2", "1.0", "lrminres"),
+    ]
+    assert [r["converged"] for r in rows] == ["true"] * 4 + ["false"] * 12
+    reasons = errs[0].strip().splitlines()
+    assert len(reasons) == 12
+    assert reasons[0] == (
+        f"skpik dir={opsdir} 0 0.0001 0.01: UsageError: --mT must be at least 1"
+    )
+    assert reasons[4] == (
+        f"skpik dir={nope} 2 0.0001 0.01: UsageError: --matrices {nope}: expected M.mtx and K.mtx"
+    )
+    # the points of one source and mT read the same skpik sweep counts as lone solves
+    for row in rows[:4:2]:
+        result = tmp_path / "one.json"
+        run_cli("solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", "2",
+                "--sigma", row["sigma"], "--beta", "1e-2", "--example", "file",
+                "--yd-file", str(yd_file), "--out", str(result))
+        record = json.loads(result.read_text())
+        assert (row["iters"], row["rank"], row["residual"]) == (
+            str(record["iters"]), str(record["rank"]), str(record["residual"])
+        )
 
 
 def test_sweep_rows_are_the_solve_record_cut_to_the_header(tmp_path):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from eddyopt import discretize
 from eddyopt.discretize import (
+    CACHE_ENTRIES,
     ProblemConfig,
     REG_NONE,
     TimeGrid,
     assemble_mass,
     assemble_stiffness,
     build_mesh,
+    build_operators,
     lowrank_desired,
     sample_desired_state,
 )
@@ -255,3 +258,31 @@ def test_config_conductivity_floor():
     assert cfg.effective_sigma == 1e-3
     cfg2 = ProblemConfig(sigma=5.0, beta=1.0, reg_kind=2, eps_reg=1e-3)
     assert cfg2.effective_sigma == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the store of shifted factors and spaces
+
+
+def test_shifted_factors_are_evicted_least_recently_used(monkeypatch):
+    ops = build_operators(build_mesh(4), ProblemConfig(sigma=1.0, beta=1.0))
+    calls = []
+    factorize = discretize.sparse_spd_factorize
+
+    def spy(a):
+        calls.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(discretize, "sparse_spd_factorize", spy)
+    rhs = np.random.default_rng(0).standard_normal((ops.n, 3))
+    first = ops.shifted_factor(0.5).solve(rhs)
+    for k in range(100):
+        ops.shifted_factor(1.0 + k)
+        assert len(ops._store) <= CACHE_ENTRIES
+    assert len(calls) == 101
+    ops.shifted_factor(100.0)  # among the most recent: still kept
+    assert len(calls) == 101
+    # the first shift was evicted long ago: it is factored again, to the same bits
+    np.testing.assert_array_equal(ops.shifted_factor(0.5).solve(rhs), first)
+    assert len(calls) == 102
+    assert len(ops._store) == CACHE_ENTRIES

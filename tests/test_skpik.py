@@ -21,6 +21,7 @@ from eddyopt.lacore import (
     LowRankMatrix,
     StagnationError,
     SylvesterConditionError,
+    real_schur,
     truncated_svd,
     truncation_rank,
 )
@@ -81,8 +82,8 @@ def test_init_scalar_space_deflates_to_dimension_one():
     grid = TimeGrid(1)
     problem = _problem(ops, config, grid, np.array([[2.0]]))
     state = skpik_init(problem)
-    assert state.left.dim == 1
-    assert np.allclose(np.abs(state.left.basis), [[1.0]])
+    assert state.dims[0] == 1
+    assert np.allclose(np.abs(state.basis), [[1.0]])
 
 
 def test_init_identity_operator_keeps_only_rhs_span():
@@ -94,14 +95,14 @@ def test_init_identity_operator_keeps_only_rhs_span():
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
     # the inverse images coincide with the seed block for the identity map
-    assert state.left.dim == problem.r1.shape[1]
+    assert state.dims[0] == problem.r1.shape[1]
 
 
 def test_init_span_contains_rhs_factor():
     ops, config, grid, yd = _mesh_problem(cells=3, m_t=3, sigma=0.5, beta=0.01)
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
-    u = state.left.basis
+    u = state.basis
     assert np.linalg.norm(problem.r1 - u @ (u.T @ problem.r1)) <= 1e-12
     assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-12
 
@@ -159,7 +160,7 @@ def test_sweep_scalar_closed_form_first_sweep_exact():
     problem = _problem(ops, config, grid, np.array([[target]]))
     state = skpik_init(problem)
     skpik_sweep(state, problem)
-    x = state.left.basis @ state.z
+    x = state.basis @ state.z
     assert np.allclose(x, [[0.1 * target, 0.3 * target]], atol=1e-12)
     assert state.residual_history[-1] <= 1e-12
     # oracle: the vectorized solve of the same equation
@@ -211,7 +212,7 @@ def test_recorded_history_matches_dense_residual(cells, m_t, sigma, beta):
             skpik_sweep(state, problem)
         except StagnationError:
             break
-        x = state.left.basis @ state.z
+        x = state.basis @ state.z
         dense = np.linalg.norm(a_dense @ x + x @ b_dense - r_dense) / np.linalg.norm(r_dense)
         assert abs(state.residual_history[-1] - dense) <= 1e-13
 
@@ -223,10 +224,10 @@ def test_sweep_galerkin_orthogonality_and_nesting():
     b_dense = problem.b_matrix.toarray()
     r_dense = problem.r1 @ problem.r2.T
     state = skpik_init(problem)
-    prev_u = state.left.basis.copy()
+    prev_u = state.basis.copy()
     for _ in range(3):
         skpik_sweep(state, problem)
-        u = state.left.basis
+        u = state.basis
         assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
         xt = u @ state.z
         projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
@@ -241,10 +242,10 @@ def test_subspace_growth_bound():
     problem = _problem(ops, config, grid, yd)
     r = problem.r1.shape[1]
     state = skpik_init(problem)
-    assert state.left.dim <= 2 * r
+    assert state.dims[0] <= 2 * r
     for m in range(1, 5):
         skpik_sweep(state, problem)
-        assert state.left.dim <= 2 * r * (m + 1)
+        assert state.dims[0] <= 2 * r * (m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +404,129 @@ def test_report_phases_cover_the_solve():
 
 
 def test_extended_basis_grows_in_place():
-    # U and A U are views of buffers; every block extend returns is the tail of U
+    # U and A U are views of column-major buffers, and each prefix holds what
+    # a sweep on its leading columns needs, computed from those columns alone
     ops, config, grid, yd = _mesh_problem(cells=4, m_t=3, sigma=1.0, beta=1e-2)
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
-    left = state.left
-    blocks = [left.basis.copy()]
-    for _ in range(6):
-        blocks.append(left.extend())
-    u = left.basis
-    assert u.base is not None and left.image.base is not None
-    np.testing.assert_array_equal(u, np.hstack(blocks))
-    assert np.linalg.norm(u.T @ u - np.eye(left.dim)) <= 1e-12
-    np.testing.assert_allclose(left.image, problem.apply_a(u), rtol=0, atol=1e-12)
+    space = state.space
+    prefixes = [space.prefix(j, problem, state.phases) for j in range(7)]
+    u = space.basis
+    assert u.base is not None and space.image.base is not None
+    assert u.flags.f_contiguous and space.image.flags.f_contiguous
+    dims = [p.dim for p in prefixes]
+    assert dims == sorted(dims) and dims[-1] == space.dim
+    assert np.linalg.norm(u.T @ u - np.eye(space.dim)) <= 1e-12
+    np.testing.assert_allclose(space.image, problem.apply_a(u), rtol=0, atol=1e-12)
+    for prefix in prefixes:
+        uk = u[:, : prefix.dim]
+        a_uk = problem.apply_a(uk)
+        np.testing.assert_allclose(prefix.t_a, uk.T @ a_uk, rtol=0, atol=1e-12)
+        q, schur = prefix.schur
+        np.testing.assert_allclose(q @ schur @ q.T, prefix.t_a, rtol=0, atol=1e-10)
+        rest = a_uk - uk @ prefix.t_a  # (I - U U^T) A U of this prefix
+        np.testing.assert_allclose(prefix.r.T @ prefix.r, rest.T @ rest, rtol=0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one extended space per operator set, shift and target range
+
+# on 16 nodes at tol 1e-12 some points converge and some exhaust the space
+_SHARED_CELLS, _SHARED_TOL = 3, 1e-12
+_SHARED_POINTS = [
+    (m_t, sigma, beta) for m_t in (1, 4) for sigma in (0.0, 1.0, 1e4) for beta in (1e-2, 1e-8)
+]
+
+
+def _shared_solve(ops, point):
+    m_t, sigma, beta = point
+    config = ProblemConfig(sigma=sigma, beta=beta)
+    yd = sample_desired_state("ex1", build_mesh(_SHARED_CELLS), TimeGrid(m_t))
+    problem = build_sylvester_problem(
+        ops, config, TimeGrid(m_t), lowrank_desired(yd, config.trunc_tol)
+    )
+    return skpik_solve(problem, _SHARED_TOL, config.trunc_tol)
+
+
+def _fresh_ops():
+    return build_operators(build_mesh(_SHARED_CELLS), ProblemConfig(sigma=1.0, beta=1.0))
+
+
+_FRESH = {}
+
+
+def _fresh_solve(point):
+    if point not in _FRESH:
+        _FRESH[point] = _shared_solve(_fresh_ops(), point)
+    return _FRESH[point]
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.permutations(_SHARED_POINTS).flatmap(
+    lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
+))
+def test_shared_space_solves_match_fresh_operators_bit_for_bit(points):
+    ops = _fresh_ops()
+    for point in points:
+        x, report = _shared_solve(ops, point)
+        x_ref, ref = _fresh_solve(point)
+        assert report.residual_history == ref.residual_history, point
+        assert (report.iterations, report.rank, report.residual) == (
+            ref.iterations, ref.rank, ref.residual
+        ), point
+        assert report.extra["stop_reason"] == ref.extra["stop_reason"]
+        np.testing.assert_array_equal(x.left, x_ref.left)
+        np.testing.assert_array_equal(x.right, x_ref.right)
+
+
+def test_shared_space_survives_eviction(monkeypatch):
+    # with room for one entry the factor and the spaces evict each other all
+    # the time; each is rebuilt to the same bits
+    monkeypatch.setattr("eddyopt.discretize.CACHE_ENTRIES", 1)
+    ops = _fresh_ops()
+    for point in _SHARED_POINTS[::-1]:
+        x, report = _shared_solve(ops, point)
+        x_ref, ref = _fresh_solve(point)
+        assert report.residual_history == ref.residual_history, point
+        np.testing.assert_array_equal(x.left, x_ref.left)
+        np.testing.assert_array_equal(x.right, x_ref.right)
+    assert len(ops._store) == 1
+
+
+def test_second_solve_of_a_group_reuses_the_space():
+    # the first point needs the most sweeps; the others run on its prefixes
+    mesh = build_mesh(4)
+    ops = build_operators(mesh, ProblemConfig(sigma=1.0, beta=1.0))
+    grid = TimeGrid(5)
+    yd = sample_desired_state("ex1", mesh, grid)
+    columns, reports = [], []
+    for sigma, beta in ((1e-4, 1e-2), (1.0, 1e-2), (1e4, 1e-6)):
+        config = ProblemConfig(sigma=sigma, beta=beta)
+        problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, config.trunc_tol))
+        count = {"a": 0, "a_inv": 0}
+
+        def counted(key, fn):
+            def apply(v):
+                count[key] += v.shape[1]
+                return fn(v)
+
+            return apply
+
+        problem.apply_a = counted("a", problem.apply_a)
+        problem.apply_a_inv = counted("a_inv", problem.apply_a_inv)
+        _, report = skpik_solve(problem, config.tol, config.trunc_tol)
+        assert report.converged
+        columns.append(count)
+        reports.append(report)
+    assert reports[0].iterations >= max(r.iterations for r in reports[1:])
+    assert columns[0]["a_inv"] > 0
+    for count, report in zip(columns[1:], reports[1:]):
+        assert count["a_inv"] == 0
+        # A is applied only to certify the returned factors
+        assert count["a"] == report.rank
+        phases = report.extra["phases"]
+        assert phases["extend"] == phases["project"] == phases["residual"] == 0.0
+        assert phases["time_side"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +571,7 @@ def test_truncation_residuals_match_dense_residual(cells, m_t, sigma, beta):
         projected = list(truncation_residuals(state, problem, p, s, qt))
         assert len(projected) == s.size
         for k, res in enumerate(projected, 1):
-            x = state.left.basis @ (p[:, :k] * s[:k]) @ qt[:k]
+            x = state.basis @ (p[:, :k] * s[:k]) @ qt[:k]
             dense = np.linalg.norm(a_dense @ x + x @ b_dense - r_dense) / np.linalg.norm(r_dense)
             assert abs(res - dense) <= 1e-13
         # at full rank the truncation is the iterate, whose residual the history holds
@@ -515,7 +626,7 @@ def test_rank_rule_keeps_sweeps_and_stop_reasons_of_the_cap_rule(monkeypatch):
     reports = solve_all()
 
     def cap_compress(state, problem, tol, trunc_tol):
-        x = truncated_svd(LowRankMatrix(state.left.basis, state.z.T), trunc_tol)
+        x = truncated_svd(LowRankMatrix(state.basis, state.z.T), trunc_tol)
         return x, factored_residual(x.left, x.right, problem)
 
     monkeypatch.setattr(skpik, "_compress", cap_compress)
@@ -559,7 +670,7 @@ def test_time_side_solve_matches_kronecker_oracle(m_t, sigma, beta, shift):
     b = _shifted_b(sigma, m_t, beta, shift)
     c = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 2 * m_t))
     solver = _time_side(sigma, m_t, beta, shift)
-    z = solver.solve(t, c)
+    z = solver.solve(real_schur(t), c)
     assert z.dtype == np.float64
     z_oracle = kron_sylvester_solve(t, b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
@@ -595,7 +706,7 @@ def _ritz_pairs_matrix(draw):
 def test_time_side_property_matches_kronecker_oracle(t, sigma, log_beta, m_t, seed):
     b = build_B(sigma, 1.0 / m_t, 10.0**log_beta, m_t)
     c = np.random.default_rng(seed).standard_normal((t.shape[0], 2 * m_t))
-    z = _time_side(sigma, m_t, 10.0**log_beta, 0.0).solve(t, c)
+    z = _time_side(sigma, m_t, 10.0**log_beta, 0.0).solve(real_schur(t), c)
     z_oracle = kron_sylvester_solve(t, b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-10 * np.linalg.norm(z_oracle)
 
@@ -609,10 +720,10 @@ def test_time_side_solve_on_projected_operator_with_complex_ritz_pair():
     state = skpik_init(problem)
     for _ in range(6):
         skpik_sweep(state, problem)
-    assert np.abs(np.linalg.eigvals(state.t_a).imag).max() > 1.0
+    assert np.abs(np.linalg.eigvals(state.prefix.t_a).imag).max() > 1.0
     c = state.r1_proj @ problem.r2.T
-    z = state.time_side.solve(state.t_a, c)
-    z_oracle = kron_sylvester_solve(state.t_a, problem.b_matrix.toarray(), c)
+    z = state.time_side.solve(state.prefix.schur, c)
+    z_oracle = kron_sylvester_solve(state.prefix.t_a, problem.b_matrix.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
 
 
@@ -644,7 +755,7 @@ def test_time_side_extreme_coefficients_match_dense_solve(sigma, beta):
     bt = build_B(sigma, 1.0 / m_t, beta, m_t).toarray().T
     for theta in np.logspace(-6, 5, 12):
         f = rng.standard_normal(2 * m_t)
-        x = solver.solve(np.array([[theta]]), f[None])[0]
+        x = solver.solve(real_schur(np.array([[theta]])), f[None])[0]
         ref = np.linalg.solve(theta * np.eye(2 * m_t) + bt, f)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), theta
 
@@ -657,7 +768,7 @@ def test_time_side_singular_shift_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the solver raises from LAPACK's info, no numpy warning
         with pytest.raises(SylvesterConditionError):
-            solver.solve(t, np.ones((2, 2)))
+            solver.solve(real_schur(t), np.ones((2, 2)))
 
 
 def test_sweep_galerkin_condition_holds_on_whole_time_axis():
@@ -669,7 +780,7 @@ def test_sweep_galerkin_condition_holds_on_whole_time_axis():
     state = skpik_init(problem)
     for _ in range(2):
         skpik_sweep(state, problem)
-        u = state.left.basis
+        u = state.basis
         xt = u @ state.z
         projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
         assert np.linalg.norm(projected) <= 1e-10 * np.linalg.norm(r_dense)
