@@ -36,7 +36,6 @@ from .discretize import (
     SpaceOperators,
     TimeGrid,
     assemble_mass,
-    assemble_stiffness,
     build_mesh,
     build_operators,
     lowrank_desired,

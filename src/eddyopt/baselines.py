@@ -191,7 +191,7 @@ class SchurHatApprox:
 
 def build_schur_hat(ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid) -> SchurHatApprox:
     """The approximation at this point, on the factorization of K + (g + w)*M that ``ops`` keeps."""
-    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
+    g, w = time_coefficients(config.sigma, grid.tau, config.beta)
     return SchurHatApprox(ops.mass, ops.shifted_factor(g + w), g, grid.tau, grid.m_t)
 
 
@@ -294,7 +294,7 @@ class _CoupledOperator:
         self.cmat = time_difference_matrix(grid.m_t).tocsr()
         self.tau = grid.tau
         self.sb = np.sqrt(config.beta)
-        self.sigma = config.effective_sigma
+        self.sigma = config.sigma
 
     def apply(self, z: LowRankVector) -> LowRankVector:
         tau, sb, sig = self.tau, self.sb, self.sigma
@@ -435,7 +435,7 @@ def _coupled_residual(
     """
     m_t = grid.m_t
     scale = 1.0 / np.sqrt(config.beta)
-    res = np.asarray(x @ build_B(config.effective_sigma, grid.tau, config.beta, m_t))
+    res = np.asarray(x @ build_B(config.sigma, grid.tau, config.beta, m_t))
     for lo in range(0, 2 * m_t, RESIDUAL_COLUMNS):
         hi = min(lo + RESIDUAL_COLUMNS, 2 * m_t)
         res[:, lo:hi] += ops.mass_factor.solve(ops.stiffness @ x[:, lo:hi])
@@ -477,7 +477,7 @@ def fminres_solve(
         raise ValueError(f"desired state has shape {yd.shape}, expected ({n}, {m_t})")
     tau = grid.tau
     beta = config.beta
-    sigma = config.effective_sigma
+    sigma = config.sigma
     mass = ops.mass
     nmat = (sigma * mass + tau * ops.stiffness).tocsr()
     a_step = sp.bmat(

@@ -94,9 +94,10 @@ def build_parser() -> _Parser:
     sol.add_argument("--beta", type=float, required=True, help="control cost")
     sol.add_argument("--nu", type=float, default=1.0, help="diffusion coefficient")
     sol.add_argument("--shift", type=float, default=None,
-                     help="spectral shift (default: 0 if the stiffness is PD, else nu)")
+                     help="spectral shift (default: 0 if --ereg is positive, else nu)")
     sol.add_argument("--ereg", type=float, default=None,
-                     help="elliptic regularization weight (default 1e-6*nu)")
+                     help="weight of the elliptic term eps_reg*M added to K "
+                          "(default 1e-6*nu; 0 leaves K as assembled or read)")
     sol.add_argument("--tol", type=float, default=1e-6)
     sol.add_argument("--trunc-tol", type=float, default=1e-10)
     sol.add_argument("--max-it", type=int, default=500)
@@ -161,7 +162,7 @@ def _load_imported_operators(directory: str, config: ProblemConfig) -> SpaceOper
     stiff = mm_read(k_path)
     if mass.shape[0] != mass.shape[1] or mass.shape != stiff.shape:
         raise UsageError("imported M and K must be square and of equal size")
-    return SpaceOperators(mass, add_elliptic_term(stiff, mass, config), mass.shape[0])
+    return SpaceOperators(mass, add_elliptic_term(stiff, mass, config))
 
 
 def _load_source(args, config: ProblemConfig):
@@ -205,9 +206,11 @@ def _load_source(args, config: ProblemConfig):
     return ops, grid, yd
 
 
-def _solve_point(method: str, ops, config, grid, yd):
-    """Dispatch one solve; returns (row dict, factors-or-None, trajectory-or-None)."""
-    yd_lr = lowrank_desired(yd, config.trunc_tol) if method in ("skpik", "lrminres") else None
+def _solve_point(method: str, ops, config, grid, yd, yd_lr):
+    """Dispatch one solve; returns (row dict, factors-or-None, trajectory-or-None).
+
+    ``yd_lr`` is ``yd`` compressed at ``config.trunc_tol``; fminres reads only ``yd``.
+    """
     started = time.perf_counter()
     factors = traj = None
     if method == "skpik":
@@ -247,8 +250,9 @@ def cmd_solve(args) -> int:
         print(f"note: --nu {NU_NOTE}", file=sys.stderr)
     config = _make_config(args)
     ops, grid, yd = _load_source(args, config)
+    yd_lr = None if args.method == "fminres" else lowrank_desired(yd, config.trunc_tol)
     try:
-        row, factors, traj = _solve_point(args.method, ops, config, grid, yd)
+        row, factors, traj = _solve_point(args.method, ops, config, grid, yd, yd_lr)
     except FminresStepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -272,7 +276,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mesh = build_mesh(args.mesh)
-    config = ProblemConfig(sigma=0.0, beta=1.0, nu=1.0, reg_kind=0)
+    config = ProblemConfig(sigma=0.0, beta=1.0, nu=1.0, eps_reg=0.0)
     ops = build_operators(mesh, config)
     mm_write(out / "M.mtx", ops.mass)
     mm_write(out / "K.mtx", ops.stiffness)
@@ -291,40 +295,59 @@ def cmd_generate(args) -> int:
 # sweeps
 
 
-def _validate_sweep_spec(spec: dict):
-    methods = spec.get("methods", [])
-    if not methods:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# what each key of a sweep spec must hold, if it is given: (description, test)
+_SPEC_KEYS = {
+    "methods": ("a list of 'skpik', 'lrminres', 'fminres'",
+                _list_of(lambda m: m in ("skpik", "lrminres", "fminres"))),
+    "sigmas": ("a list of nonnegative numbers", _list_of(lambda s: _is_number(s) and s >= 0)),
+    "betas": ("a list of positive numbers", _list_of(lambda b: _is_number(b) and b > 0)),
+    **dict.fromkeys(("mts", "meshes"), ("a list of integers", _list_of(_is_integer))),
+    "matrix_dirs": ("a list of paths", _list_of(lambda d: isinstance(d, str))),
+    "example": ("'ex1', 'ex2' or 'file'", lambda e: e in ("ex1", "ex2", "file")),
+    "yd_file": ("a path or null", lambda f: f is None or isinstance(f, str)),
+    **dict.fromkeys(("nu", "tol", "trunc_tol"), ("a number", _is_number)),
+    "max_it": ("an integer", _is_integer),
+    **dict.fromkeys(("ereg", "shift"), ("a number or null", lambda v: v is None or _is_number(v))),
+}
+
+
+def _validate_sweep_spec(spec):
+    if not isinstance(spec, dict):
+        raise UsageError("sweep spec must be a JSON object")
+    for key, (what, valid) in _SPEC_KEYS.items():
+        if key in spec and not valid(spec[key]):
+            raise UsageError(f"sweep spec key {key!r} must be {what}")
+    if not spec.get("methods"):
         raise UsageError("sweep spec needs a non-empty 'methods' list")
-    for m in methods:
-        if m not in ("skpik", "lrminres", "fminres"):
-            raise UsageError(f"unknown method {m!r} in sweep spec")
-    sigmas = spec.get("sigmas", [])
-    betas = spec.get("betas", [])
-    mts = spec.get("mts", [])
-    meshes = spec.get("meshes", [])
-    dirs = spec.get("matrix_dirs", [])
-    if not sigmas or not betas or not mts:
+    if not spec.get("sigmas") or not spec.get("betas") or not spec.get("mts"):
         raise UsageError("sweep spec needs non-empty 'sigmas', 'betas', and 'mts'")
-    if bool(meshes) == bool(dirs):
+    dirs = spec.get("matrix_dirs")
+    if bool(spec.get("meshes")) == bool(dirs):
         raise UsageError("sweep spec needs exactly one of 'meshes' or 'matrix_dirs'")
     example = spec.get("example", "ex1")
-    if example not in ("ex1", "ex2", "file"):
-        raise UsageError(f"unknown example {example!r} in sweep spec")
     if dirs and example != "file":
         raise UsageError(
             "'matrix_dirs' carry no node coordinates; use \"example\": \"file\" and 'yd_file'"
         )
     if example == "file" and not spec.get("yd_file"):
         raise UsageError("\"example\": \"file\" needs a 'yd_file' path")
-    if any(s < 0 for s in sigmas):
-        raise UsageError("sweep sigmas must be nonnegative")
-    if any(b <= 0 for b in betas):
-        raise UsageError("sweep betas must be positive")
 
 
 def _sweep_points(spec: dict):
     """The flags ``eddyopt solve`` would parse for each point, in row order."""
-    sources = [{"mesh": m, "matrices": None} for m in spec.get("meshes", [])] or [
+    sources = [{"mesh": int(m), "matrices": None} for m in spec.get("meshes", [])] or [
         {"mesh": None, "matrices": d} for d in spec.get("matrix_dirs", [])
     ]
     for source, mt, sigma, beta, method in itertools.product(
@@ -385,10 +408,13 @@ def _run_sweep_group(points: list) -> list[tuple[list, str | None]]:
     except failures as exc:
         return [_failed_point(args, exc) for args in points]
     results = []
+    yd_lr = None  # one table and one trunc_tol per group: compressed once, when first needed
     for args in points:
         try:
             config = _make_config(args)
-            record, _, _ = _solve_point(args.method, ops, config, grid, yd)
+            if yd_lr is None and args.method != "fminres":
+                yd_lr = lowrank_desired(yd, config.trunc_tol)
+            record, _, _ = _solve_point(args.method, ops, config, grid, yd, yd_lr)
         except failures as exc:
             results.append(_failed_point(args, exc))
         else:
@@ -443,8 +469,8 @@ def _scalar_instance():
 
     mass = sp.csr_matrix(np.array([[1.0]]))
     stiff = sp.csr_matrix(np.array([[2.0]]))
-    ops = SpaceOperators(mass, stiff, 1)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0,
+    ops = SpaceOperators(mass, stiff)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0,
                            tol=1e-12, trunc_tol=1e-14)
     grid = TimeGrid(1)
     yd = np.array([[3.0]])
@@ -499,7 +525,7 @@ def run_verify(n: int = 25, m_t: int = 4):
     stiff_d = ops.stiffness.toarray()
     cmat = time_difference_matrix(grid.m_t).toarray()
     tau, sb = grid.tau, np.sqrt(config.beta)
-    sigma = config.effective_sigma
+    sigma = config.sigma
     eye = np.eye(grid.m_t)
     s_blk = np.block([[tau * eye, sigma * sb * cmat.T], [sigma * sb * cmat, -tau * eye]])
     sk_blk = np.block(

@@ -24,22 +24,13 @@ __all__ = [
     "TimeGrid",
     "ProblemConfig",
     "SpaceOperators",
-    "REG_NONE",
-    "REG_CONDUCTIVITY",
-    "REG_ELLIPTIC",
     "build_mesh",
     "assemble_mass",
-    "assemble_stiffness",
     "add_elliptic_term",
     "build_operators",
     "sample_desired_state",
     "lowrank_desired",
 ]
-
-# regularization kinds: none, conductivity floor, elliptic mass shift
-REG_NONE = 0
-REG_CONDUCTIVITY = 2
-REG_ELLIPTIC = 3
 
 # entries a SpaceOperators keeps, shifted factors and extended Krylov spaces
 # together, evicting the least recently used: the desk grid keeps four per
@@ -62,20 +53,17 @@ class Mesh2D:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on (0, t_final] with m_t implicit steps."""
+    """Uniform time grid on (0, 1] with m_t implicit steps."""
 
     m_t: int
-    t_final: float = 1.0
 
     def __post_init__(self):
         if self.m_t < 1:
             raise ValueError("m_t must be at least 1")
-        if self.t_final <= 0:
-            raise ValueError("final time must be positive")
 
     @property
     def tau(self) -> float:
-        return self.t_final / self.m_t
+        return 1.0 / self.m_t
 
 
 @dataclass
@@ -83,18 +71,18 @@ class ProblemConfig:
     """Scalar problem data and solver tolerances.
 
     ``sigma`` is the conductivity, ``beta`` the control cost, ``nu`` the
-    diffusion coefficient.  ``reg_kind`` selects how the degenerate
-    sigma = 0 case is regularized: 0 leaves the operators untouched, 2
-    floors the conductivity at ``eps_reg``, 3 adds ``eps_reg`` times the
-    mass matrix to the stiffness.  The initial state is zero.
+    diffusion coefficient.  ``eps_reg`` is the weight of the elliptic
+    term: a positive value adds ``eps_reg`` times the mass matrix to the
+    stiffness, which makes it positive definite and the default shift 0;
+    0 leaves the stiffness as assembled or read, and the default shift
+    is ``nu``.  The initial state is zero.
     """
 
     sigma: float
     beta: float
     nu: float = 1.0
-    reg_kind: int = REG_ELLIPTIC
     eps_reg: float | None = None  # defaults to 1e-6 * nu
-    shift: float | None = None  # defaults: 0 if the stiffness is PD, else nu
+    shift: float | None = None  # defaults: 0 if eps_reg > 0, else nu
     tol: float = 1e-6
     trunc_tol: float = 1e-10
     max_it: int = 500
@@ -106,13 +94,6 @@ class ProblemConfig:
             raise ValueError("sigma must be nonnegative")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if self.reg_kind == 1:
-            raise ValueError(
-                "regularization kind 1 (exact) has no operational definition; "
-                "use kind 0, 2, or 3"
-            )
-        if self.reg_kind not in (REG_NONE, REG_CONDUCTIVITY, REG_ELLIPTIC):
-            raise ValueError(f"unknown regularization kind {self.reg_kind}")
         if self.eps_reg is None:
             self.eps_reg = 1e-6 * self.nu
         if self.eps_reg < 0:
@@ -125,15 +106,8 @@ class ProblemConfig:
             raise ValueError("max_it must be at least 1")
 
     @property
-    def effective_sigma(self) -> float:
-        """Conductivity actually entering the operators (kind 2 floors it)."""
-        if self.reg_kind == REG_CONDUCTIVITY:
-            return max(self.sigma, self.eps_reg)
-        return self.sigma
-
-    @property
     def stiffness_is_pd(self) -> bool:
-        return self.reg_kind == REG_ELLIPTIC and self.eps_reg > 0
+        return self.eps_reg > 0
 
     def resolve_shift(self) -> float:
         if self.shift is not None:
@@ -158,7 +132,10 @@ class SpaceOperators:
 
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.mass.shape[0]
 
     @cached_property
     def mass_factor(self) -> SparseFactorization:
@@ -266,21 +243,16 @@ def _assemble_diffusion(mesh: Mesh2D, nu: float) -> sp.csr_matrix:
     return _scatter(mesh, local) * nu
 
 
-def assemble_stiffness(mesh: Mesh2D, config: ProblemConfig) -> sp.csr_matrix:
-    """Diffusion stiffness nu * (grad, grad), plus the elliptic term of :func:`add_elliptic_term`.
-
-    With regularization kind 3 and eps_reg > 0 the result is positive
-    definite; otherwise it is symmetric positive semidefinite with the
-    constants in its nullspace.
-    """
-    return add_elliptic_term(_assemble_diffusion(mesh, config.nu), assemble_mass(mesh), config)
-
-
 def build_operators(mesh: Mesh2D, config: ProblemConfig) -> SpaceOperators:
-    """The operators of :func:`assemble_mass` and :func:`assemble_stiffness`, the mass assembled once."""
+    """The P1 mass and the stiffness nu * (grad, grad) plus :func:`add_elliptic_term`.
+
+    With eps_reg > 0 the stiffness is positive definite; with eps_reg = 0
+    it is symmetric positive semidefinite with the constants in its
+    nullspace.
+    """
     mass = assemble_mass(mesh)
     stiffness = add_elliptic_term(_assemble_diffusion(mesh, config.nu), mass, config)
-    return SpaceOperators(mass, stiffness, mesh.n_nodes)
+    return SpaceOperators(mass, stiffness)
 
 
 def _target_profile_split_domain(nodes: np.ndarray) -> np.ndarray:

@@ -208,8 +208,8 @@ def build_sylvester_problem(
         )
     shift = config.resolve_shift()
     apply_a, apply_a_inv = build_a_ops(ops, shift)
-    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
-    b = build_B(config.effective_sigma, grid.tau, config.beta, grid.m_t)
+    g, w = time_coefficients(config.sigma, grid.tau, config.beta)
+    b = build_B(config.sigma, grid.tau, config.beta, grid.m_t)
     if shift:
         b = (b - shift * sp.identity(2 * grid.m_t, format="csr")).tocsr()
     b_lu = sparse_lu_factorize(b)
@@ -254,7 +254,7 @@ def _dense_pieces(ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid):
     c = time_difference_matrix(grid.m_t).toarray()
     eye = np.eye(grid.m_t)
     mm = np.kron(eye, m)
-    nsig = np.kron(eye, grid.tau * k) + np.kron(c, config.effective_sigma * m)
+    nsig = np.kron(eye, grid.tau * k) + np.kron(c, config.sigma * m)
     return mm, nsig
 
 

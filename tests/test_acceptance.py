@@ -135,7 +135,7 @@ def test_criterion_02_reformulation_chain():
             stiff_d = ops.stiffness.toarray()
             c = time_difference_matrix(grid.m_t).toarray()
             eye = np.eye(grid.m_t)
-            tau, sb, sg = grid.tau, np.sqrt(beta), config.effective_sigma
+            tau, sb, sg = grid.tau, np.sqrt(beta), config.sigma
             s_blk = np.block([[tau * eye, sg * sb * c.T], [sg * sb * c, -tau * eye]])
             sk_blk = np.block(
                 [[np.zeros_like(eye), tau * sb * eye], [tau * sb * eye, np.zeros_like(eye)]]
@@ -379,7 +379,7 @@ def test_criterion_08_schur_approximation():
             shat = dense_schur_hat(
                 ops.mass.toarray(),
                 ops.stiffness.toarray(),
-                config.effective_sigma,
+                config.sigma,
                 grid.tau,
                 config.beta,
                 m_t,

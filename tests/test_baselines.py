@@ -39,7 +39,7 @@ from oracles import dense_schur_hat, solve_kkt2
 
 def _identity_ops(n):
     eye = sp.identity(n, format="csr")
-    return SpaceOperators(eye, eye, n)
+    return SpaceOperators(eye, eye)
 
 
 def _mesh_setup(cells=2, m_t=2, sigma=1.0, beta=1.0, **kw):
@@ -61,7 +61,7 @@ def _random_lr(rng, n, m, k):
 
 def test_schur_hat_scalar_case():
     ops = _identity_ops(3)
-    config = ProblemConfig(sigma=0.0, beta=1.0, reg_kind=0)
+    config = ProblemConfig(sigma=0.0, beta=1.0, eps_reg=0.0)
     grid = TimeGrid(1)
     v = np.array([1.0, -2.0, 4.0])
     out = apply_schur_hat_inv(v, ops, config, grid)
@@ -75,7 +75,7 @@ def test_schur_hat_scalar_case():
 def test_schur_hat_matches_dense_oracle(m_t, cells, sigma, beta):
     ops, config, grid, _ = _mesh_setup(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
     shat = dense_schur_hat(
-        ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma,
         grid.tau, config.beta, grid.m_t,
     )
     rng = np.random.default_rng(4)
@@ -89,7 +89,7 @@ def test_schur_hat_matches_dense_oracle(m_t, cells, sigma, beta):
 def test_schur_hat_apply_then_inverse_roundtrip():
     ops, config, grid, _ = _mesh_setup(cells=2, m_t=3, sigma=1.0, beta=0.01)
     shat_dense = dense_schur_hat(
-        ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma,
         grid.tau, config.beta, grid.m_t,
     )
     hat = build_schur_hat(ops, config, grid)
@@ -204,7 +204,7 @@ def test_lrminres_matches_dense_oracle_tiny():
     assert report.extra["stop_reason"] == "converged"
     assert report.residual <= 1e-6
     y_o, u_o, lam_o = solve_kkt2(
-        ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma,
         grid.tau, config.beta, yd,
     )
     y_got = z.yblk.to_dense()
@@ -225,7 +225,7 @@ def test_lrminres_stop_reason_max_it():
 def test_lrminres_stop_reason_krylov_exhausted():
     # one unknown and one time step: the Krylov space has dimension two,
     # and a tolerance below rounding level cannot be certified on it
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(1)
     yd_lr = lowrank_desired(np.ones((1, 1)), 1e-14)
     _, report = lrminres_solve(_identity_ops(1), config, grid, yd_lr, tol=1e-30)
@@ -298,7 +298,7 @@ def test_fminres_single_step_matches_dense_oracle():
     assert report.converged
     assert report.extra["stop_reason"] == "converged"
     y_o, u_o, _ = solve_kkt2(
-        ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma,
         grid.tau, config.beta, yd,
     )
     assert np.linalg.norm(y - y_o) <= 1e-6 * np.linalg.norm(y_o)
@@ -352,7 +352,7 @@ def test_minres_history_monotone_in_preconditioner_norm():
     ops, config, grid, yd = _mesh_setup(cells=3, m_t=1, sigma=1.0, beta=1e-2)
     n = ops.n
     tau, beta = grid.tau, config.beta
-    nmat = (config.effective_sigma * ops.mass + tau * ops.stiffness).tocsr()
+    nmat = (config.sigma * ops.mass + tau * ops.stiffness).tocsr()
     a_step = sp.bmat(
         [
             [tau * ops.mass, None, nmat.T],
@@ -390,7 +390,7 @@ def test_minres_history_monotone_in_preconditioner_norm():
 def test_fminres_per_step_saddle_symmetric():
     ops, config, grid, _ = _mesh_setup(cells=2, m_t=1, sigma=0.5, beta=0.1)
     tau = grid.tau
-    sigma = config.effective_sigma
+    sigma = config.sigma
     nmat = (sigma * ops.mass + tau * ops.stiffness).tocsr()
     a_step = sp.bmat(
         [

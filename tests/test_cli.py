@@ -31,6 +31,8 @@ def test_generate_writes_operators(tmp_path, capsys):
     # SPD check on load via a dense eigenvalue oracle
     eigs = np.linalg.eigvalsh(m.toarray())
     assert eigs.min() > 0
+    # K is written without the elliptic term: the constants are in its nullspace
+    assert np.max(np.abs(k @ np.ones(9))) <= 1e-13
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -328,6 +330,28 @@ def test_sweep_invalid_spec_exits_one(tmp_path, capsys):
     _write_spec(spec, betas=[0.0])
     assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 1
     assert run_cli("sweep", "--spec", str(tmp_path / "absent.json"), "--out", str(out)) == 1
+    capsys.readouterr()
+    # malformed specs name the offending key instead of crashing or misleading
+    spec.write_text(json.dumps([{"methods": ["skpik"]}]))
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: sweep spec must be a JSON object\n"
+    for key, value in [
+        ("sigmas", ["a"]),
+        ("betas", [None]),
+        ("methods", "skpik"),
+        ("mts", ["2"]),
+        ("mts", [2.5]),
+        ("meshes", [True]),
+        ("matrix_dirs", "ops"),
+        ("yd_file", ["yd.txt"]),
+        ("ereg", "a"),
+        ("max_it", 1.5),
+    ]:
+        _write_spec(spec, **{key: value})
+        assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep spec key '{key}' must be "), err
+    assert not out.exists()
 
 
 def test_sweep_partial_failure_records_row(tmp_path):

@@ -5,10 +5,9 @@ from eddyopt import discretize
 from eddyopt.discretize import (
     CACHE_ENTRIES,
     ProblemConfig,
-    REG_NONE,
+    SpaceOperators,
     TimeGrid,
     assemble_mass,
-    assemble_stiffness,
     build_mesh,
     build_operators,
     lowrank_desired,
@@ -108,35 +107,36 @@ def test_mass_is_spd():
 # stiffness matrix
 
 
+def _stiffness(mesh, nu=1.0, eps_reg=0.0):
+    """The stiffness of build_operators, by default without the elliptic term."""
+    config = ProblemConfig(sigma=1.0, beta=1.0, nu=nu, eps_reg=eps_reg)
+    return build_operators(mesh, config).stiffness
+
+
 def test_stiffness_reference_triangle_element():
-    mesh = _reference_triangle_mesh()
-    cfg = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=REG_NONE)
-    k = assemble_stiffness(mesh, cfg).toarray()
+    k = _stiffness(_reference_triangle_mesh()).toarray()
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(k, expected, atol=1e-15)
 
 
 def test_stiffness_rowsums_vanish_without_regularization():
-    cfg = ProblemConfig(sigma=0.5, beta=1.0, reg_kind=REG_NONE)
-    k = assemble_stiffness(build_mesh(5), cfg)
+    k = _stiffness(build_mesh(5))
     assert np.max(np.abs(k @ np.ones(k.shape[0]))) <= 1e-13
 
 
 def test_stiffness_scales_linearly_in_diffusion_coefficient():
     mesh = build_mesh(4)
-    k1 = assemble_stiffness(mesh, ProblemConfig(sigma=1.0, beta=1.0, reg_kind=REG_NONE))
-    k3 = assemble_stiffness(mesh, ProblemConfig(sigma=1.0, beta=1.0, nu=3.0, reg_kind=REG_NONE))
+    k1 = _stiffness(mesh)
+    k3 = _stiffness(mesh, nu=3.0)
     assert np.max(np.abs((k3 - 3.0 * k1).toarray())) <= 1e-13
 
 
 def test_stiffness_regularized_is_pd():
     mesh = build_mesh(5)
-    cfg = ProblemConfig(sigma=0.0, beta=1.0, eps_reg=1e-3)
-    k = assemble_stiffness(mesh, cfg)
+    k = _stiffness(mesh, eps_reg=1e-3)
     eigs = np.linalg.eigvalsh(k.toarray())
     assert eigs.min() > 0
-    cfg0 = ProblemConfig(sigma=0.0, beta=1.0, reg_kind=REG_NONE)
-    k0 = assemble_stiffness(mesh, cfg0)
+    k0 = _stiffness(mesh)
     eigs0 = np.linalg.eigvalsh(k0.toarray())
     assert eigs0.min() >= -1e-12  # PSD with nullspace
 
@@ -147,8 +147,7 @@ def test_poisson_manufactured_convergence():
     errs = []
     for cells in (8, 16, 32):
         mesh = build_mesh(cells)
-        cfg = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=REG_NONE)
-        k = assemble_stiffness(mesh, cfg)
+        k = _stiffness(mesh)
         m = assemble_mass(mesh)
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         exact = np.cos(np.pi * x) * np.cos(np.pi * y)
@@ -237,7 +236,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ProblemConfig(sigma=-1.0, beta=1.0)
     with pytest.raises(ValueError):
-        ProblemConfig(sigma=1.0, beta=1.0, reg_kind=1)
+        ProblemConfig(sigma=1.0, beta=1.0, eps_reg=-1e-3)
     with pytest.raises(ValueError):
         TimeGrid(0)
 
@@ -247,17 +246,18 @@ def test_config_defaults_and_shift_rule():
     assert cfg.eps_reg == pytest.approx(2e-6)
     assert cfg.stiffness_is_pd
     assert cfg.resolve_shift() == 0.0
-    bare = ProblemConfig(sigma=1.0, beta=1e-4, nu=2.0, reg_kind=REG_NONE)
+    bare = ProblemConfig(sigma=1.0, beta=1e-4, nu=2.0, eps_reg=0.0)
+    assert not bare.stiffness_is_pd
     assert bare.resolve_shift() == 2.0
     pinned = ProblemConfig(sigma=1.0, beta=1e-4, shift=0.5)
     assert pinned.resolve_shift() == 0.5
 
 
-def test_config_conductivity_floor():
-    cfg = ProblemConfig(sigma=0.0, beta=1.0, reg_kind=2, eps_reg=1e-3)
-    assert cfg.effective_sigma == 1e-3
-    cfg2 = ProblemConfig(sigma=5.0, beta=1.0, reg_kind=2, eps_reg=1e-3)
-    assert cfg2.effective_sigma == 5.0
+def test_space_operators_size_is_that_of_the_mass():
+    mesh = build_mesh(3)
+    m = assemble_mass(mesh)
+    k = _stiffness(mesh)
+    assert SpaceOperators(m, k).n == m.shape[0] == mesh.n_nodes
 
 
 # ---------------------------------------------------------------------------

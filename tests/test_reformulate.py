@@ -38,7 +38,7 @@ from oracles import kron_sylvester_solve, solve_kkt2
 
 def _identity_ops(n):
     eye = sp.identity(n, format="csr")
-    return SpaceOperators(eye, eye, n)
+    return SpaceOperators(eye, eye)
 
 
 def _small_problem(cells=2, m_t=2, sigma=1.0, beta=1.0, **kw):
@@ -138,9 +138,7 @@ def test_a_ops_identity():
 
 
 def test_a_ops_scalar_shift():
-    ops = SpaceOperators(
-        sp.csr_matrix(2.0 * np.eye(3)), sp.csr_matrix(4.0 * np.eye(3)), 3
-    )
+    ops = SpaceOperators(sp.csr_matrix(2.0 * np.eye(3)), sp.csr_matrix(4.0 * np.eye(3)))
     apply_a, apply_a_inv = build_a_ops(ops, 1.0)
     v = np.array([1.0, -2.0, 0.5])
     assert np.allclose(apply_a(v), 3.0 * v)
@@ -162,11 +160,7 @@ def test_a_ops_composition_on_p1_operators():
 
 def test_a_ops_rejects_indefinite_shifted_stiffness():
     n = 4
-    ops = SpaceOperators(
-        sp.identity(n, format="csr"),
-        sp.csr_matrix(-np.eye(n)),
-        n,
-    )
+    ops = SpaceOperators(sp.identity(n, format="csr"), sp.csr_matrix(-np.eye(n)))
     with pytest.raises(NotSpdError) as err:
         build_a_ops(ops, 0.0)
     assert "shift" in str(err.value)
@@ -212,7 +206,7 @@ def test_baselines_share_one_schur_factor_per_point(monkeypatch):
     calls = _spy_spd_factorizations(monkeypatch)
     lrminres_solve(ops, config, grid, yd_lr)
     fminres_solve(ops, config, grid, yd)
-    g, w = time_coefficients(config.effective_sigma, grid.tau, config.beta)
+    g, w = time_coefficients(config.sigma, grid.tau, config.beta)
     assert len(calls) == 1
     assert np.array_equal(calls[0].toarray(), (ops.stiffness + (g + w) * ops.mass).toarray())
     other = ProblemConfig(sigma=1.0, beta=1e-4)
@@ -287,7 +281,7 @@ def test_kkt_dense_is_symmetric():
 
 def test_kkt_dense_scalar_instance():
     ops = _identity_ops(1)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0)
     grid = TimeGrid(1)
     yd = np.array([[1.0]])
     kkt = assemble_kkt_dense(ops, config, grid, yd)
@@ -297,7 +291,7 @@ def test_kkt_dense_scalar_instance():
 
 def test_kkt_dense_guard():
     ops = _identity_ops(200)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0)
     grid = TimeGrid(50)
     with pytest.raises(ValueError):
         assemble_kkt_dense(ops, config, grid, np.zeros((200, 50)))
@@ -308,7 +302,7 @@ def test_kkt_dense_matches_independent_oracle():
     kkt = assemble_kkt_dense(ops, config, grid, yd)
     y, u, lam = solve_kkt_dense(kkt, config.beta)
     y_o, u_o, lam_o = solve_kkt2(
-        ops.mass.toarray(), ops.stiffness.toarray(), config.effective_sigma,
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma,
         grid.tau, config.beta, yd,
     )
     assert np.linalg.norm(y - y_o) <= 1e-10 * np.linalg.norm(y_o)
@@ -351,7 +345,7 @@ def test_problem_scaling_invariance():
     ops, config, grid, yd = _small_problem(cells=2, m_t=2, sigma=0.3, beta=0.5)
     yd_lr = lowrank_desired(yd, 1e-14)
     p1 = build_sylvester_problem(ops, config, grid, yd_lr)
-    scaled = SpaceOperators((7.0 * ops.mass).tocsr(), (7.0 * ops.stiffness).tocsr(), ops.n)
+    scaled = SpaceOperators((7.0 * ops.mass).tocsr(), (7.0 * ops.stiffness).tocsr())
     p2 = build_sylvester_problem(scaled, config, grid, yd_lr)
     a1 = np.linalg.solve(ops.mass.toarray(), ops.stiffness.toarray())
     x1 = kron_sylvester_solve(
@@ -437,7 +431,7 @@ def test_extract_solution_satisfies_state_equation():
     c = time_difference_matrix(grid.m_t).toarray()
     mm = np.kron(np.eye(grid.m_t), ops.mass.toarray())
     nsig = np.kron(np.eye(grid.m_t), grid.tau * ops.stiffness.toarray()) + np.kron(
-        c, config.effective_sigma * ops.mass.toarray()
+        c, config.sigma * ops.mass.toarray()
     )
     res = nsig @ vec(y.to_dense()) - grid.tau * (mm @ vec(u.to_dense()))
     assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(grid.tau * (mm @ vec(u.to_dense())))

@@ -52,7 +52,7 @@ from oracles import kron_sylvester_solve
 
 def _identity_ops(n):
     eye = sp.identity(n, format="csr")
-    return SpaceOperators(eye, eye, n)
+    return SpaceOperators(eye, eye)
 
 
 def _problem(ops, config, grid, yd, rhs_tol=1e-14):
@@ -78,7 +78,7 @@ def _dense_a(ops, shift):
 
 def test_init_scalar_space_deflates_to_dimension_one():
     ops = _identity_ops(1)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(1)
     problem = _problem(ops, config, grid, np.array([[2.0]]))
     state = skpik_init(problem)
@@ -88,7 +88,7 @@ def test_init_scalar_space_deflates_to_dimension_one():
 
 def test_init_identity_operator_keeps_only_rhs_span():
     ops = _identity_ops(6)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(2)
     rng = np.random.default_rng(5)
     yd = np.linalg.qr(rng.standard_normal((6, 2)))[0]
@@ -153,8 +153,8 @@ def test_sweep_scalar_closed_form_first_sweep_exact():
     # one spatial unknown, one time step: the spaces close immediately and
     # the first sweep hits the exact solution (0.1, 0.3) * target
     ops = _identity_ops(1)
-    ops = SpaceOperators(ops.mass, sp.csr_matrix(np.array([[2.0]])), 1)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    ops = SpaceOperators(ops.mass, sp.csr_matrix(np.array([[2.0]])))
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(1)
     target = 3.0
     problem = _problem(ops, config, grid, np.array([[target]]))
@@ -174,7 +174,7 @@ def test_sweep_scalar_closed_form_first_sweep_exact():
 def test_sweep_raises_on_exhausted_spaces():
     # identity operators on a single unknown: both spaces close at once
     ops = _identity_ops(1)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(1)
     problem = _problem(ops, config, grid, np.array([[1.0]]))
     state = skpik_init(problem)
@@ -254,7 +254,7 @@ def test_subspace_growth_bound():
 
 def test_solve_identity_operator_converges_fast():
     ops = _identity_ops(12)
-    config = ProblemConfig(sigma=1.0, beta=1.0, reg_kind=0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
     grid = TimeGrid(1)
     rng = np.random.default_rng(8)
     yd = rng.standard_normal((12, 1))

@@ -81,6 +81,8 @@ def test_tracer_counts_a_grouped_sweep_per_point(tmp_path, monkeypatch, capsys):
     assert names.count("skpik.skpik_solve") == 2 * points
     assert names.count("reformulate.build_sylvester_problem") == 2 * points
     assert names.count("discretize.build_operators") == 2 * 4
+    # the points of a group share one target table, compressed once
+    assert names.count("discretize.lowrank_desired") == 2 * 4
     # perfbench counts certificates as the residuals skpik_solve itself asks for
     parents = [tracer.spans[parent][0] for name, _, _, parent in tracer.spans
                if name == "skpik.factored_residual"]
