@@ -110,7 +110,8 @@ def build_parser() -> _Parser:
     sw = sub.add_parser("sweep", help="run a parameter sweep from a JSON spec")
     sw.add_argument("--spec", required=True, metavar="PATH.json")
     sw.add_argument("--out", required=True, metavar="PATH.csv")
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most one per (source, mT) group")
 
     ver = sub.add_parser("verify", help="check the solvers against dense oracles")
     ver.add_argument("--n", type=int, default=25, help="spatial unknowns (a square number)")
@@ -238,6 +239,10 @@ def _solve_point(method: str, ops, config, grid, yd, yd_lr):
         "subspace": list(report.subspace) if report.subspace else None,
         "stop_reason": report.extra["stop_reason"],
         "coupled_residual": report.extra.get("coupled_residual"),
+        # skpik's projected residual per sweep, null where its search skipped the sweep
+        "residual_history": [None if np.isnan(h) else h for h in report.residual_history]
+        if method == "skpik"
+        else None,
         "phases": report.extra.get("phases"),
         "tol": config.tol,
         "trunc_tol": config.trunc_tol,
@@ -423,6 +428,8 @@ def _run_sweep_group(points: list) -> list[tuple[list, str | None]]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise UsageError(f"sweep spec {args.spec} not found")
@@ -440,11 +447,12 @@ def cmd_sweep(args) -> int:
             _sweep_points(spec), key=lambda p: (p.mesh, p.matrices, p.mT)
         )
     ]
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    # a pool starts all its workers at once, so it gets no more than there are groups
+    workers = min(args.jobs, len(groups))
+    if workers == 1:
         results = [_run_sweep_group(group) for group in groups]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_group, groups))
     results = [point for group in results for point in group]
     rows = [row for row, _ in results]

@@ -62,6 +62,11 @@ STAGNATION_FACTOR = 2.0
 STAGNATION_WINDOW = 10
 STAGNATION_LEVEL = float(np.sqrt(np.finfo(float).eps))
 
+# skpik_solve looks for the first prefix whose projected residual meets
+# max(tol, STAGNATION_LEVEL) by sweeping every SEARCH_STRIDE-th prefix and
+# bisecting the last stride; from there it sweeps one prefix at a time.
+SEARCH_STRIDE = 4
+
 # the keys of skpik's extra["phases"]: seconds per stage of the solve
 PHASES = ("extend", "project", "time_side", "residual", "compress", "certify")
 
@@ -82,20 +87,23 @@ class SolveReport:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Prefix:
     """What a sweep on the first ``dim`` columns U of an extended space needs.
 
-    t_a = U^T A U with its real Schur form (q, s), and the triangular
-    factor r of (I - U U^T) A U.  Each is computed from these columns
-    alone, once, when they join the space, so a prefix is the same
-    however far the space has grown since.
+    t_a = U^T A U, kept from the moment the columns join the space since
+    the next prefix's t_a is built from it; the real Schur form (q, s) of
+    t_a and the triangular factor r of (I - U U^T) A U are filled in when
+    a sweep first runs on the prefix (see :meth:`ExtendedSpace.prefix`).
+    Each is computed from these columns alone, once, so a prefix is the
+    same however far the space has grown since and whichever solve first
+    ran on it.
     """
 
     dim: int
     t_a: np.ndarray
-    schur: tuple[np.ndarray, np.ndarray]
-    r: np.ndarray
+    schur: tuple[np.ndarray, np.ndarray] | None = None
+    r: np.ndarray | None = None
 
 
 class ExtendedSpace:
@@ -108,8 +116,9 @@ class ExtendedSpace:
     cached A U instead of being computed again.  Either block may
     deflate to nothing; once both are empty the space is closed.
 
-    ``prefix(j)`` is the space after j extensions (j = 0 is the seed and
-    its inverse image), grown lazily one block at a time.  A depends on
+    ``prefixes[j]`` is the space after j extensions (j = 0 is the seed
+    and its inverse image), grown lazily one block at a time; a closed
+    space has no prefix past its last.  A depends on
     neither sigma nor beta nor the time grid, so every problem on one
     operator set with the same shift and seed runs on prefixes of one
     space, and its first columns are a function of (operators, shift,
@@ -171,23 +180,20 @@ class ExtendedSpace:
         if self.dim > start:
             self._image[:, start : self.dim] = problem.apply_a(self._basis[:, start : self.dim])
 
-    def prefix(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> _Prefix:
-        """The space after j extensions, grown with the problem's operator if need be.
+    def grow(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> int:
+        """Grow the space to j extensions with the problem's operator if need be.
 
-        The growth is charged to ``phases`` of the caller: the sparse
-        solves and Gram-Schmidt to ``extend``, the new block of t_a and
-        its Schur form to ``project``, the QR of (I - U U^T) A U to
-        ``residual``.  Once the space is closed every further prefix is
-        the last one.
+        Returns the index of the prefix reached: j, or the last prefix if
+        the space closed before j.  The sparse solves, Gram-Schmidt and
+        the new block of t_a are charged to ``phases["extend"]`` of the
+        caller.
         """
         while len(self.prefixes) <= j and not self.closed:
             start = self.dim
             with _phase(phases, "extend"):
                 self._extend(problem)
-            if self.dim == start:  # closed: nothing new to project
-                self.prefixes.append(self.prefixes[-1])
-                continue
-            with _phase(phases, "project"):
+                if self.dim == start:  # closed: nothing new to project
+                    break
                 u_new, a_new = self.basis[:, start:], self.image[:, start:]
                 if self.prefixes:
                     u_old, a_old = self.basis[:, :start], self.image[:, :start]
@@ -199,11 +205,26 @@ class ExtendedSpace:
                     )
                 else:
                     t_a = u_new.T @ a_new
-                schur = real_schur(t_a)
+            self.prefixes.append(_Prefix(self.dim, t_a))
+        return min(j, len(self.prefixes) - 1)
+
+    def prefix(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> _Prefix:
+        """The space after j extensions (the last prefix once closed), ready for a sweep.
+
+        Grows the space as :meth:`grow` does.  The first request for a
+        prefix computes the Schur form of its t_a, charged to
+        ``project``, and the QR of its (I - U U^T) A U, charged to
+        ``residual``; later requests, from any solve, reuse them.
+        """
+        prefix = self.prefixes[self.grow(j, problem, phases)]
+        if prefix.schur is None:
+            with _phase(phases, "project"):
+                prefix.schur = real_schur(prefix.t_a)
+        if prefix.r is None:
             with _phase(phases, "residual"):
-                r = np.linalg.qr(self.image - self.basis @ t_a, mode="r")
-            self.prefixes.append(_Prefix(self.dim, t_a, schur, r))
-        return self.prefixes[min(j, len(self.prefixes) - 1)]
+                u, a_u = self.basis[:, : prefix.dim], self.image[:, : prefix.dim]
+                prefix.r = np.linalg.qr(a_u - u @ prefix.t_a, mode="r")
+        return prefix
 
 
 class TimeSideSolver:
@@ -305,22 +326,25 @@ class KpikState:
     """Workspace of the projection iteration.
 
     Holds the shared extended space and the prefix U of it that the
-    last sweep ran on, with its t_a = U^T A U and the triangular factor
-    r of (I - U U^T) A U; the projected right-hand-side factor
-    U^T R1; the time-side solver; the norm of R1 R2^T; and the solution
-    z of the projected equation, so that the iterate is X = U z.  The
-    residual of any U z' is U (t_a z' + z' B - (U^T R1) R2^T) plus a part
-    of norm ||r z'||_F orthogonal to U.  The history of projected
-    residuals, relative to the norm of R1 R2^T, and the seconds spent per
-    phase sit next to them.
+    state sits on, with its t_a = U^T A U and the triangular factor r of
+    (I - U U^T) A U; the projected right-hand-side factor U^T R1, stacked
+    from one product per block of the space; the time-side solver; the
+    norm of R1 R2^T; and the solution z of the projected equation, so
+    that the iterate is X = U z.  The residual of any U z' is
+    U (t_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
+    orthogonal to U.  ``sweeps`` is the index of the prefix the state
+    sits on.  The history of projected residuals, relative to the norm of
+    R1 R2^T, holds entry j for sweep j, NaN where no sweep j ran; the
+    seconds spent per phase sit next to it.
     """
 
     space: ExtendedSpace
     prefix: _Prefix
     time_side: TimeSideSolver
-    r1_proj: np.ndarray
+    r1_blocks: list[np.ndarray]
     rhs_norm: float
     phases: dict[str, float]
+    r1_proj: np.ndarray | None = None
     z: np.ndarray | None = None
     sweeps: int = 0
     residual_history: list[float] = field(default_factory=list)
@@ -385,17 +409,52 @@ def skpik_init(problem: SylvesterProblem) -> KpikState:
     phases = dict.fromkeys(PHASES, 0.0)
     key = ("extended space", problem.shift, problem.seed.shape, problem.seed.tobytes())
     space = problem.ops.cached(key, lambda: ExtendedSpace(problem.seed))
-    prefix = space.prefix(0, problem, phases)
+    prefix = space.prefixes[space.grow(0, problem, phases)]
     with _phase(phases, "time_side"):
-        r1_proj = space.basis[:, : prefix.dim].T @ problem.r1
+        r1_blocks = [space.basis[:, : prefix.dim].T @ problem.r1]
     return KpikState(
         space=space,
         prefix=prefix,
         time_side=TimeSideSolver(problem.g, problem.w, problem.shift, problem.m_t),
-        r1_proj=r1_proj,
+        r1_blocks=r1_blocks,
         rhs_norm=lowrank_norm(LowRankMatrix(problem.r1, problem.r2)),
         phases=phases,
     )
+
+
+def _evaluate(
+    state: KpikState, problem: SylvesterProblem, j: int
+) -> tuple[_Prefix, np.ndarray, np.ndarray]:
+    """Solve the projected equation on prefix j and record its residual as sweep j.
+
+    Returns the prefix (the last one if the space closed before j), its
+    U^T R1 and the solution z, without moving the state there.  U^T R1
+    is stacked from one product per block, so it has the same bits
+    whichever prefixes were evaluated before.  Only U^T R1, the time side
+    and the residual norm are this problem's own work, charged to
+    ``time_side``.
+    """
+    space, blocks = state.space, state.r1_blocks
+    i = space.grow(j, problem, state.phases)
+    prefix = space.prefix(i, problem, state.phases)
+    with _phase(state.phases, "time_side"):
+        while len(blocks) <= i:
+            cols = slice(space.prefixes[len(blocks) - 1].dim, space.prefixes[len(blocks)].dim)
+            blocks.append(space.basis[:, cols].T @ problem.r1)
+        r1_proj = np.vstack(blocks[: i + 1])
+        z = state.time_side.solve(prefix.schur, r1_proj @ problem.r2.T)
+        # relies on R1 in range(U): R1 spans the seed, up to the 1e-12 deflation tolerance
+        res = float(np.linalg.norm(prefix.r @ z))
+    history = state.residual_history
+    history.extend([np.nan] * (j - len(history)))
+    history[j - 1] = res / state.rhs_norm if state.rhs_norm else res
+    return prefix, r1_proj, z
+
+
+def _move(state: KpikState, j: int, evaluated: tuple[_Prefix, np.ndarray, np.ndarray]) -> None:
+    """Put the state on sweep j, as evaluated by :func:`_evaluate`."""
+    state.prefix, state.r1_proj, state.z = evaluated
+    state.sweeps = j
 
 
 def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
@@ -405,25 +464,63 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
     in time, so the Galerkin condition U^T R = 0 holds on the whole time
     axis and the residual of X = U z is (I - U U^T) A U z.  Its norm is
     recorded relative to that of R1 R2^T.  The prefix's t_a, Schur form
-    and r are the space's; only U^T R1, the time side and the residual
-    norm are this problem's own work, charged to ``time_side``.  Raises
+    and r are the space's (see :func:`_evaluate`).  Raises
     :class:`StagnationError` when the space has closed after a projected
     solution already exists, since no further progress is possible.
     """
-    old = state.prefix.dim
-    state.prefix = prefix = state.space.prefix(state.sweeps + 1, problem, state.phases)
-    if prefix.dim == old and state.z is not None:
+    j = state.sweeps + 1
+    space = state.space
+    closed = space.prefixes[space.grow(j, problem, state.phases)].dim == state.prefix.dim
+    if closed and state.z is not None:
         raise StagnationError("the extended Krylov space is exhausted without convergence")
-    with _phase(state.phases, "time_side"):
-        if prefix.dim > old:
-            u_new = state.space.basis[:, old : prefix.dim]
-            state.r1_proj = np.vstack([state.r1_proj, u_new.T @ problem.r1])
-        state.z = state.time_side.solve(prefix.schur, state.r1_proj @ problem.r2.T)
-        # relies on R1 in range(U): R1 spans the seed, up to the 1e-12 deflation tolerance
-        res = float(np.linalg.norm(prefix.r @ state.z))
-    state.residual_history.append(res / state.rhs_norm if state.rhs_norm else res)
-    state.sweeps += 1
+    _move(state, j, _evaluate(state, problem, j))
     return state
+
+
+def _search(state: KpikState, problem: SylvesterProblem, target: float, max_sweeps: int) -> None:
+    """Sweep to the first prefix whose projected residual meets ``target``.
+
+    Sweeps prefixes SEARCH_STRIDE, 2 SEARCH_STRIDE, ..., capped at
+    ``max_sweeps`` and at the last prefix of a closed space, until one
+    meets ``target``, then bisects the last stride down to the prefix j
+    that meets it while j - 1 does not (or j = 1).  The state ends on j,
+    or on the cap if no prefix up to it meets ``target``.  A scan of
+    every prefix ends on the same j whenever the residual stays at or
+    below ``target`` from its first crossing up to the stride point after
+    it; else j may lie later.  Which prefixes are evaluated depends only
+    on this problem's residuals and on where the space closes, never on
+    how far the shared space has already grown.
+    """
+    lo = 0
+    while True:
+        cap = min(lo + SEARCH_STRIDE, max_sweeps)
+        hi = max(1, state.space.grow(cap, problem, state.phases))
+        if hi == lo:  # the state sits on the cap
+            return
+        _move(state, hi, _evaluate(state, problem, hi))
+        if state.residual_history[hi - 1] <= target:
+            break
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        evaluated = _evaluate(state, problem, mid)
+        if state.residual_history[mid - 1] <= target:
+            hi = mid
+            _move(state, mid, evaluated)
+        else:
+            lo = mid
+
+
+def _stagnated(state: KpikState, problem: SylvesterProblem) -> bool:
+    """Has the residual, below STAGNATION_LEVEL, fallen by less than STAGNATION_FACTOR
+    over the last STAGNATION_WINDOW sweeps?  A prefix the search skipped is evaluated."""
+    j, history = state.sweeps, state.residual_history
+    if j <= STAGNATION_WINDOW or history[j - 1] > STAGNATION_LEVEL:
+        return False
+    back = j - STAGNATION_WINDOW
+    if np.isnan(history[back - 1]):
+        _evaluate(state, problem, back)
+    return history[j - 1] * STAGNATION_FACTOR > history[back - 1]
 
 
 def truncation_residuals(
@@ -498,7 +595,13 @@ def skpik_solve(
 ) -> tuple[LowRankMatrix, SolveReport]:
     """Run the projection iteration until the certified residual meets tol.
 
-    Each sweep monitors the projected residual.  Once it passes the
+    Each sweep j solves the projected equation on prefix j of the shared
+    space and monitors its projected residual h(j).  The first prefix
+    whose h meets max(tol, ``STAGNATION_LEVEL``) is searched for, not
+    scanned for: prefixes ``SEARCH_STRIDE``, 2 ``SEARCH_STRIDE``, ... are
+    swept until one meets it, and the last stride is bisected down to the
+    prefix J whose predecessor fails (see :func:`_search`).  From J on
+    sweeps go one prefix at a time.  Once h passes the
     tolerance, the iterate U z is compressed to the smallest rank whose
     projected residual meets tol and which changes the state and the
     multiplier block each by at most tol, relative; that rank is no
@@ -513,13 +616,20 @@ def skpik_solve(
     and more sweeps only grow the basis.  On stagnation, on hitting
     ``max_sweeps`` or on a closed space the last iterate is compressed
     and certified the same way, and the converged flag reflects its
-    certified residual; there is no silent success.
+    certified residual; there is no silent success.  Whenever h falls
+    below the search's target at its first crossing and stays there up
+    to the next stride point, every stop decision is the one a sweep of
+    every prefix makes, with the same bits.
+
+    ``iterations`` is the sweep count J, and ``residual_history`` holds
+    h(1), ..., h(J) with NaN for the sweeps the search skipped.
     ``extra["stop_reason"]`` is ``"converged"``, ``"stagnation"``,
     ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["phases"]`` holds
-    the seconds spent in each of ``PHASES``.  ``extend``, ``project`` and
-    ``residual`` count only the growth of the shared space that this
-    solve caused (see :meth:`ExtendedSpace.prefix`), and are 0 when every
-    prefix it ran on was grown before.
+    the seconds spent in each of ``PHASES``.  ``extend`` counts only the
+    growth of the shared space that this solve caused, and ``project``
+    and ``residual`` the Schur forms and QRs of the prefixes this solve
+    was the first to sweep on (see :meth:`ExtendedSpace.prefix`); each is
+    0 when another solve did that work before.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -544,23 +654,19 @@ def skpik_solve(
 
     state = skpik_init(problem)
     history = state.residual_history
+    _search(state, problem, max(tol, STAGNATION_LEVEL), max_sweeps)
+    exhausted = False
     while True:
-        try:
-            skpik_sweep(state, problem)
-            exhausted = False
-        except StagnationError:
-            exhausted = True
-        stagnated = (
-            not exhausted
-            and len(history) > STAGNATION_WINDOW
-            and history[-1] <= STAGNATION_LEVEL
-            and history[-1] * STAGNATION_FACTOR > history[-1 - STAGNATION_WINDOW]
-        )
+        stagnated = not exhausted and _stagnated(state, problem)
         last = exhausted or stagnated or state.sweeps == max_sweeps
-        if last or history[-1] <= tol:
+        if last or history[state.sweeps - 1] <= tol:
             x, res = _compress(state, problem, tol, trunc_tol)
             if res <= tol or last:
                 break
+        try:
+            skpik_sweep(state, problem)
+        except StagnationError:
+            exhausted = True
     if res <= tol:
         stop_reason = "converged"
     elif exhausted:
@@ -574,7 +680,7 @@ def skpik_solve(
         residual=res,
         rank=x.rank,
         seconds=time.perf_counter() - start,
-        residual_history=list(history),
+        residual_history=history[: state.sweeps],
         subspace=state.dims,
         extra={"stop_reason": stop_reason, "phases": dict(state.phases)},
     )

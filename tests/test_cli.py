@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,11 @@ def test_solve_skpik_json_and_factors(tmp_path, capsys):
     assert row["residual"] <= 1e-6
     assert row["rank"] >= 1
     assert row["subspace"][1] == 2 * 16
+    # one entry per sweep, null where the search skipped it; the last one passed
+    history = row["residual_history"]
+    assert len(history) == row["iters"]
+    assert history[-1] <= 1e-6
+    assert all(h is None or h > 0 for h in history)
     # the stored factors reproduce the reported residual exactly
     x1 = mm_read_dense(tmp_path / "res.X1.mtx")
     x2 = mm_read_dense(tmp_path / "res.X2.mtx")
@@ -90,6 +99,7 @@ def test_solve_lrminres_factors_reproduce_reported_residual(tmp_path):
     row = json.loads(out.read_text())
     assert row["coupled_residual"] is None
     assert row["phases"] is None
+    assert row["residual_history"] is None
     x1 = mm_read_dense(tmp_path / "lr.X1.mtx")
     x2 = mm_read_dense(tmp_path / "lr.X2.mtx")
     mesh = build_mesh(4)
@@ -144,6 +154,7 @@ def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
     # one time step is the coupled problem, so the per-step solve certifies it
     assert row["coupled_residual"] <= 1e-8
     assert row["phases"] is None
+    assert row["residual_history"] is None
     x1 = mm_read_dense(tmp_path / "a.X1.mtx")
     x2 = mm_read_dense(tmp_path / "a.X2.mtx")
     x = x1 @ x2.T
@@ -444,6 +455,46 @@ def test_sweep_parallel_jobs_match_serial(tmp_path, capsys):
         assert errs[0].count("UsageError") == converged.count("false")
 
 
+def test_sweep_starts_no_more_workers_than_groups(tmp_path, monkeypatch):
+    # a pool forks all its workers at the first submit: --jobs 64 on two
+    # groups asks for two, and one group runs in this process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    _write_spec(spec, methods=["skpik"], mts=[2, 3])
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--jobs", "64") == 0
+    assert started == [2]
+    _write_spec(spec, methods=["skpik"])
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--jobs", "8") == 0
+    assert started == [2]
+    assert len(out.read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    _write_spec(spec)
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs) == 1
+    assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
+    assert not out.exists()
+
+
 def test_sweep_groups_keep_rows_and_reasons_serial_and_parallel(tmp_path, capsys):
     # a good imported directory, a missing one and a time grid of 0 steps:
     # the groups fail or run as a whole, and the rows keep specification order
@@ -528,6 +579,17 @@ def test_verify_default_passes(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out
     assert "PASSED" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eddyopt", "verify", "--n", "9", "--mT", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verification PASSED" in proc.stdout
 
 
 def test_verify_scalar_instance_exact():

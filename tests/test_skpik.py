@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from eddyopt.reformulate import (
 )
 from eddyopt.skpik import (
     PHASES,
+    SEARCH_STRIDE,
     STAGNATION_FACTOR,
     STAGNATION_LEVEL,
     STAGNATION_WINDOW,
@@ -355,7 +358,11 @@ def test_solve_plateau_above_stagnation_level_is_not_cut():
     problem = _problem(ops, config, TimeGrid(m_t), yd, rhs_tol=config.trunc_tol)
     _, report = skpik_solve(problem, config.tol, config.trunc_tol)
     assert report.converged and report.extra["stop_reason"] == "converged"
-    history = report.residual_history
+    # the plateau, from a scan of every prefix up to the solve's sweep count
+    state = skpik_init(problem)
+    for _ in range(report.iterations):
+        skpik_sweep(state, problem)
+    history = state.residual_history
     stalled = [
         k
         for k in range(STAGNATION_WINDOW, len(history))
@@ -494,13 +501,15 @@ def test_shared_space_survives_eviction(monkeypatch):
 
 
 def test_second_solve_of_a_group_reuses_the_space():
-    # the first point needs the most sweeps; the others run on its prefixes
+    # the first point needs the most sweeps; the others run on its prefixes,
+    # and a second run of the group finds every prefix it sweeps factored
     mesh = build_mesh(4)
     ops = build_operators(mesh, ProblemConfig(sigma=1.0, beta=1.0))
     grid = TimeGrid(5)
     yd = sample_desired_state("ex1", mesh, grid)
     columns, reports = [], []
-    for sigma, beta in ((1e-4, 1e-2), (1.0, 1e-2), (1e4, 1e-6)):
+    points = ((1e-4, 1e-2), (1.0, 1e-2), (1e4, 1e-6))
+    for sigma, beta in points * 2:
         config = ProblemConfig(sigma=sigma, beta=beta)
         problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, config.trunc_tol))
         count = {"a": 0, "a_inv": 0}
@@ -524,9 +533,95 @@ def test_second_solve_of_a_group_reuses_the_space():
         assert count["a_inv"] == 0
         # A is applied only to certify the returned factors
         assert count["a"] == report.rank
+        assert report.extra["phases"]["extend"] == 0.0
+        assert report.extra["phases"]["time_side"] > 0.0
+    for report in reports[len(points) :]:
         phases = report.extra["phases"]
         assert phases["extend"] == phases["project"] == phases["residual"] == 0.0
-        assert phases["time_side"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the search for the first prefix that meets the tolerance
+
+
+def _scan(problem, sweeps):
+    """h(1), ..., h(sweeps) from a sweep of every prefix, cut where the space closes."""
+    state = skpik_init(problem)
+    for _ in range(sweeps):
+        try:
+            skpik_sweep(state, problem)
+        except StagnationError:
+            break
+    return state.residual_history
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.integers(3, 8),
+    m_t=st.integers(1, 20),
+    sigma=st.sampled_from([0.0, 1e-4, 1.0, 1e4]),
+    log_beta=st.floats(-8.0, -2.0),
+    tol=st.sampled_from([1e-6, 1e-9]),
+)
+def test_prefix_search_matches_a_sweep_of_every_prefix(cells, m_t, sigma, log_beta, tol):
+    ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=10.0**log_beta)
+    problem = _problem(ops, config, grid, yd)
+    x, report = skpik_solve(problem, tol, config.trunc_tol)
+    history, sweeps = report.residual_history, report.iterations
+    assert len(history) == sweeps and not math.isnan(history[-1])
+    if report.converged:
+        # J passes, and J - 1 fails, or passed and its compressed iterate failed the certificate
+        assert history[-1] <= tol
+        if sweeps > 1 and history[-2] <= tol:
+            state = _replay(problem, sweeps - 1)
+            assert skpik._compress(state, problem, tol, config.trunc_tol)[1] > tol
+    # the reference sweeps every prefix, on operators of its own
+    with mock.patch.object(skpik, "SEARCH_STRIDE", 1):
+        fresh = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=10.0**log_beta)
+        x_ref, ref = skpik_solve(_problem(*fresh), tol, config.trunc_tol)
+    scan = _scan(problem, ref.iterations + SEARCH_STRIDE)
+    assert ref.residual_history == scan[: ref.iterations]
+    for h, h_ref in zip(history, scan):
+        assert math.isnan(h) or h == h_ref
+    # the search lands where the scan does when h stays at or below its target
+    # from the first crossing up to the stride point after it
+    target = max(tol, STAGNATION_LEVEL)
+    first = next((j for j, h in enumerate(scan, 1) if h <= target), None)
+    if first is not None:
+        stride_point = -(-first // SEARCH_STRIDE) * SEARCH_STRIDE
+        if any(h > target for h in scan[first - 1 : stride_point]):
+            return
+    assert (report.iterations, report.rank, report.residual) == (
+        ref.iterations, ref.rank, ref.residual
+    )
+    assert report.extra["stop_reason"] == ref.extra["stop_reason"]
+    np.testing.assert_array_equal(x.left, x_ref.left)
+    np.testing.assert_array_equal(x.right, x_ref.right)
+
+
+def test_prefix_search_skips_prefixes_and_evaluates_the_stagnation_window():
+    # the 289-node stagnation case: the search skips prefixes on its way down,
+    # and the stop rule reads h(J - STAGNATION_WINDOW), swept on demand
+    ops, config, grid, yd = _mesh_problem(cells=16, m_t=20, sigma=1.0, beta=1e-4)
+    problem = _problem(ops, config, grid, yd, rhs_tol=config.trunc_tol)
+    _, report = skpik_solve(problem, tol=1e-12, trunc_tol=config.trunc_tol)
+    history = report.residual_history
+    assert report.extra["stop_reason"] == "stagnation"
+    assert any(math.isnan(h) for h in history)
+    assert not math.isnan(history[-1 - STAGNATION_WINDOW])
+    with mock.patch.object(skpik, "SEARCH_STRIDE", 1):
+        _, ref = skpik_solve(problem, tol=1e-12, trunc_tol=config.trunc_tol)
+    assert (report.iterations, report.rank, report.residual) == (
+        ref.iterations, ref.rank, ref.residual
+    )
+    assert all(math.isnan(h) or h == h_ref for h, h_ref in zip(history, ref.residual_history))
+    # a state put straight on the stop sweep sweeps the skipped h(J - STAGNATION_WINDOW)
+    state = skpik_init(problem)
+    j, back = ref.iterations, ref.iterations - STAGNATION_WINDOW
+    skpik._move(state, j, skpik._evaluate(state, problem, j))
+    assert math.isnan(state.residual_history[back - 1])
+    assert skpik._stagnated(state, problem)
+    assert state.residual_history[back - 1] == ref.residual_history[back - 1]
 
 
 # ---------------------------------------------------------------------------
