@@ -184,9 +184,7 @@ def _load_source(args, config: ProblemConfig):
     if args.example == "file":
         if args.yd_file is None:
             raise UsageError("--example file needs --yd-file")
-        yd = np.loadtxt(args.yd_file)
-        if yd.ndim == 1:
-            yd = yd[:, None]
+        yd = np.loadtxt(args.yd_file, ndmin=2)
         if yd.shape != (ops.n, grid.m_t):
             raise UsageError(
                 f"desired-state table has shape {yd.shape}, expected ({ops.n}, {grid.m_t})"
@@ -322,9 +320,11 @@ _SPEC_KEYS = {
     "matrix_dirs": ("a list of paths", _list_of(lambda d: isinstance(d, str))),
     "example": ("'ex1', 'ex2' or 'file'", lambda e: e in ("ex1", "ex2", "file")),
     "yd_file": ("a path or null", lambda f: f is None or isinstance(f, str)),
-    **dict.fromkeys(("nu", "tol", "trunc_tol"), ("a number", _is_number)),
-    "max_it": ("an integer", _is_integer),
-    **dict.fromkeys(("ereg", "shift"), ("a number or null", lambda v: v is None or _is_number(v))),
+    **dict.fromkeys(("nu", "tol"), ("a positive number", lambda v: _is_number(v) and v > 0)),
+    "trunc_tol": ("a nonnegative number", lambda v: _is_number(v) and v >= 0),
+    "max_it": ("a positive integer", lambda v: _is_integer(v) and v >= 1),
+    **dict.fromkeys(("ereg", "shift"), ("a nonnegative number or null",
+                                        lambda v: v is None or (_is_number(v) and v >= 0))),
 }
 
 

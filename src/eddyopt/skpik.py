@@ -87,25 +87,6 @@ class SolveReport:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass
-class _Prefix:
-    """What a sweep on the first ``dim`` columns U of an extended space needs.
-
-    t_a = U^T A U, kept from the moment the columns join the space since
-    the next prefix's t_a is built from it; the real Schur form (q, s) of
-    t_a and the triangular factor r of (I - U U^T) A U are filled in when
-    a sweep first runs on the prefix (see :meth:`ExtendedSpace.prefix`).
-    Each is computed from these columns alone, once, so a prefix is the
-    same however far the space has grown since and whichever solve first
-    ran on it.
-    """
-
-    dim: int
-    t_a: np.ndarray
-    schur: tuple[np.ndarray, np.ndarray] | None = None
-    r: np.ndarray | None = None
-
-
 class ExtendedSpace:
     """The extended Krylov space of the space operator A from one seed.
 
@@ -116,9 +97,17 @@ class ExtendedSpace:
     cached A U instead of being computed again.  Either block may
     deflate to nothing; once both are empty the space is closed.
 
-    ``prefixes[j]`` is the space after j extensions (j = 0 is the seed
-    and its inverse image), grown lazily one block at a time; a closed
-    space has no prefix past its last.  A depends on
+    Prefix j is the space after j extensions (j = 0 is the seed and its
+    inverse image), grown lazily one block at a time; a closed space has
+    no prefix past its last.  ``dims[j]`` is its dimension.  ``t`` is
+    T = U^T A U on all of U, which grows by one block row and one block
+    column per extension, so prefix j's T_a is its leading block
+    (:meth:`t_a`).  ``schur[j]``, the real Schur form of T_a, and
+    ``r[j]``, the triangular factor of (I - U U^T) A U on prefix j, are
+    filled in when a sweep first runs on the prefix (see :meth:`prefix`).
+    Each is computed from the prefix's columns alone, once, so a prefix
+    is the same however far the space has grown since and whichever
+    solve first ran on it.  A depends on
     neither sigma nor beta nor the time grid, so every problem on one
     operator set with the same shift and seed runs on prefixes of one
     space, and its first columns are a function of (operators, shift,
@@ -138,7 +127,10 @@ class ExtendedSpace:
         # the seed is the first forward block and the first block to invert
         self.fwd_cols = slice(0, 0)
         self.block_inv = seed
-        self.prefixes: list[_Prefix] = []
+        self.dims: list[int] = []
+        self.t = np.empty((0, 0))
+        self.schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.r: dict[int, np.ndarray] = {}
 
     @property
     def basis(self) -> np.ndarray:
@@ -152,6 +144,11 @@ class ExtendedSpace:
     def closed(self) -> bool:
         fwd_empty = self.fwd_cols.start == self.fwd_cols.stop
         return self.dim > 0 and fwd_empty and self.block_inv.shape[1] == 0
+
+    def t_a(self, j: int) -> np.ndarray:
+        """U^T A U on prefix j: the leading block of ``t``."""
+        dim = self.dims[j]
+        return self.t[:dim, :dim]
 
     def _append(self, cols: np.ndarray) -> None:
         """Append orthonormal columns to U; their image is filled in by the caller."""
@@ -185,46 +182,38 @@ class ExtendedSpace:
 
         Returns the index of the prefix reached: j, or the last prefix if
         the space closed before j.  The sparse solves, Gram-Schmidt and
-        the new block of t_a are charged to ``phases["extend"]`` of the
-        caller.
+        the new block row and column of t are charged to
+        ``phases["extend"]`` of the caller.
         """
-        while len(self.prefixes) <= j and not self.closed:
+        while len(self.dims) <= j and not self.closed:
             start = self.dim
             with _phase(phases, "extend"):
                 self._extend(problem)
                 if self.dim == start:  # closed: nothing new to project
                     break
+                u_old, a_old = self.basis[:, :start], self.image[:, :start]
                 u_new, a_new = self.basis[:, start:], self.image[:, start:]
-                if self.prefixes:
-                    u_old, a_old = self.basis[:, :start], self.image[:, :start]
-                    t_a = np.block(
-                        [
-                            [self.prefixes[-1].t_a, u_old.T @ a_new],
-                            [u_new.T @ a_old, u_new.T @ a_new],
-                        ]
-                    )
-                else:
-                    t_a = u_new.T @ a_new
-            self.prefixes.append(_Prefix(self.dim, t_a))
-        return min(j, len(self.prefixes) - 1)
+                self.t = np.block([[self.t, u_old.T @ a_new], [u_new.T @ a_old, u_new.T @ a_new]])
+            self.dims.append(self.dim)
+        return min(j, len(self.dims) - 1)
 
-    def prefix(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> _Prefix:
-        """The space after j extensions (the last prefix once closed), ready for a sweep.
+    def prefix(self, j: int, problem: SylvesterProblem, phases: dict[str, float]) -> int:
+        """Index j (the last prefix once closed), with the prefix made ready for a sweep.
 
         Grows the space as :meth:`grow` does.  The first request for a
-        prefix computes the Schur form of its t_a, charged to
+        prefix computes the Schur form of its T_a, charged to
         ``project``, and the QR of its (I - U U^T) A U, charged to
         ``residual``; later requests, from any solve, reuse them.
         """
-        prefix = self.prefixes[self.grow(j, problem, phases)]
-        if prefix.schur is None:
+        i = self.grow(j, problem, phases)
+        if i not in self.schur:
+            t_a = self.t_a(i)
             with _phase(phases, "project"):
-                prefix.schur = real_schur(prefix.t_a)
-        if prefix.r is None:
+                self.schur[i] = real_schur(t_a)
             with _phase(phases, "residual"):
-                u, a_u = self.basis[:, : prefix.dim], self.image[:, : prefix.dim]
-                prefix.r = np.linalg.qr(a_u - u @ prefix.t_a, mode="r")
-        return prefix
+                u, a_u = self.basis[:, : self.dims[i]], self.image[:, : self.dims[i]]
+                self.r[i] = np.linalg.qr(a_u - u @ t_a, mode="r")
+        return i
 
 
 class TimeSideSolver:
@@ -325,38 +314,41 @@ class TimeSideSolver:
 class KpikState:
     """Workspace of the projection iteration.
 
-    Holds the shared extended space and the prefix U of it that the
-    state sits on, with its t_a = U^T A U and the triangular factor r of
-    (I - U U^T) A U; the projected right-hand-side factor U^T R1, stacked
-    from one product per block of the space; the time-side solver; the
-    norm of R1 R2^T; and the solution z of the projected equation, so
-    that the iterate is X = U z.  The residual of any U z' is
-    U (t_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
-    orthogonal to U.  ``sweeps`` is the index of the prefix the state
-    sits on.  The history of projected residuals, relative to the norm of
-    R1 R2^T, holds entry j for sweep j, NaN where no sweep j ran; the
-    seconds spent per phase sit next to it.
+    Holds the shared extended space, on whose prefix U the state sits;
+    the projected right-hand-side factor U^T R1 of the largest prefix
+    evaluated, whose leading rows serve every smaller one; the time-side
+    solver; the norm of R1 R2^T; and the solution z of the projected
+    equation, so that the iterate is X = U z.  With T_a and r the
+    space's for the prefix, the residual of any U z' is
+    U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
+    orthogonal to U.  The state sits on sweep ``sweeps``.  The history of
+    projected residuals, relative to the norm of R1 R2^T, holds entry j
+    for sweep j, NaN where no sweep j ran; the seconds spent per phase
+    sit next to it.
     """
 
     space: ExtendedSpace
-    prefix: _Prefix
     time_side: TimeSideSolver
-    r1_blocks: list[np.ndarray]
+    r1_proj: np.ndarray
     rhs_norm: float
     phases: dict[str, float]
-    r1_proj: np.ndarray | None = None
     z: np.ndarray | None = None
     sweeps: int = 0
     residual_history: list[float] = field(default_factory=list)
 
     @property
+    def prefix(self) -> int:
+        """Index of the prefix the state sits on: ``sweeps``, capped at the last prefix."""
+        return min(self.sweeps, len(self.space.dims) - 1)
+
+    @property
     def basis(self) -> np.ndarray:
-        return self.space.basis[:, : self.prefix.dim]
+        return self.space.basis[:, : self.space.dims[self.prefix]]
 
     @property
     def dims(self) -> tuple[int, int]:
         """(dim U, 2 m_t): the time side is the whole axis."""
-        return (self.prefix.dim, 2 * self.time_side.m_t)
+        return (self.space.dims[self.prefix], 2 * self.time_side.m_t)
 
 
 @contextmanager
@@ -409,52 +401,52 @@ def skpik_init(problem: SylvesterProblem) -> KpikState:
     phases = dict.fromkeys(PHASES, 0.0)
     key = ("extended space", problem.shift, problem.seed.shape, problem.seed.tobytes())
     space = problem.ops.cached(key, lambda: ExtendedSpace(problem.seed))
-    prefix = space.prefixes[space.grow(0, problem, phases)]
+    dim = space.dims[space.grow(0, problem, phases)]
     with _phase(phases, "time_side"):
-        r1_blocks = [space.basis[:, : prefix.dim].T @ problem.r1]
+        r1_proj = space.basis[:, :dim].T @ problem.r1
     return KpikState(
         space=space,
-        prefix=prefix,
         time_side=TimeSideSolver(problem.g, problem.w, problem.shift, problem.m_t),
-        r1_blocks=r1_blocks,
+        r1_proj=r1_proj,
         rhs_norm=lowrank_norm(LowRankMatrix(problem.r1, problem.r2)),
         phases=phases,
     )
 
 
-def _evaluate(
-    state: KpikState, problem: SylvesterProblem, j: int
-) -> tuple[_Prefix, np.ndarray, np.ndarray]:
+def _evaluate(state: KpikState, problem: SylvesterProblem, j: int) -> np.ndarray:
     """Solve the projected equation on prefix j and record its residual as sweep j.
 
-    Returns the prefix (the last one if the space closed before j), its
-    U^T R1 and the solution z, without moving the state there.  U^T R1
-    is stacked from one product per block, so it has the same bits
-    whichever prefixes were evaluated before.  Only U^T R1, the time side
-    and the residual norm are this problem's own work, charged to
-    ``time_side``.
+    Returns the solution z on prefix j (the last one if the space closed
+    before j), without moving the state there.  U^T R1 gains one product
+    per block of the space that it lacks, so its leading rows have the
+    same bits whichever prefixes were evaluated before.  Only U^T R1, the
+    time side and the residual norm are this problem's own work, charged
+    to ``time_side``.
     """
-    space, blocks = state.space, state.r1_blocks
-    i = space.grow(j, problem, state.phases)
-    prefix = space.prefix(i, problem, state.phases)
+    space = state.space
+    i = space.prefix(j, problem, state.phases)
+    dims = space.dims
     with _phase(state.phases, "time_side"):
-        while len(blocks) <= i:
-            cols = slice(space.prefixes[len(blocks) - 1].dim, space.prefixes[len(blocks)].dim)
-            blocks.append(space.basis[:, cols].T @ problem.r1)
-        r1_proj = np.vstack(blocks[: i + 1])
-        z = state.time_side.solve(prefix.schur, r1_proj @ problem.r2.T)
+        while (lo := len(state.r1_proj)) < dims[i]:
+            cols = slice(lo, dims[dims.index(lo) + 1])
+            state.r1_proj = np.vstack([state.r1_proj, space.basis[:, cols].T @ problem.r1])
+        z = state.time_side.solve(space.schur[i], state.r1_proj[: dims[i]] @ problem.r2.T)
         # relies on R1 in range(U): R1 spans the seed, up to the 1e-12 deflation tolerance
-        res = float(np.linalg.norm(prefix.r @ z))
+        res = float(np.linalg.norm(space.r[i] @ z))
     history = state.residual_history
     history.extend([np.nan] * (j - len(history)))
     history[j - 1] = res / state.rhs_norm if state.rhs_norm else res
-    return prefix, r1_proj, z
+    return z
 
 
-def _move(state: KpikState, j: int, evaluated: tuple[_Prefix, np.ndarray, np.ndarray]) -> None:
-    """Put the state on sweep j, as evaluated by :func:`_evaluate`."""
-    state.prefix, state.r1_proj, state.z = evaluated
-    state.sweeps = j
+def _move(state: KpikState, j: int, z: np.ndarray) -> None:
+    """Put the state on sweep j, with the solution z that :func:`_evaluate` found there."""
+    state.z, state.sweeps = z, j
+
+
+def _exhausted(state: KpikState, problem: SylvesterProblem) -> bool:
+    """Has the space closed on the state's prefix?  Grows it to the next sweep if need be."""
+    return state.space.grow(state.sweeps + 1, problem, state.phases) == state.prefix
 
 
 def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
@@ -463,16 +455,14 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
     The projected equation T_a Z + Z B = (U^T R1) R2^T is solved exactly
     in time, so the Galerkin condition U^T R = 0 holds on the whole time
     axis and the residual of X = U z is (I - U U^T) A U z.  Its norm is
-    recorded relative to that of R1 R2^T.  The prefix's t_a, Schur form
+    recorded relative to that of R1 R2^T.  The prefix's T_a, Schur form
     and r are the space's (see :func:`_evaluate`).  Raises
     :class:`StagnationError` when the space has closed after a projected
     solution already exists, since no further progress is possible.
     """
-    j = state.sweeps + 1
-    space = state.space
-    closed = space.prefixes[space.grow(j, problem, state.phases)].dim == state.prefix.dim
-    if closed and state.z is not None:
+    if state.z is not None and _exhausted(state, problem):
         raise StagnationError("the extended Krylov space is exhausted without convergence")
+    j = state.sweeps + 1
     _move(state, j, _evaluate(state, problem, j))
     return state
 
@@ -503,10 +493,10 @@ def _search(state: KpikState, problem: SylvesterProblem, target: float, max_swee
         lo = hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        evaluated = _evaluate(state, problem, mid)
+        z = _evaluate(state, problem, mid)
         if state.residual_history[mid - 1] <= target:
             hi = mid
-            _move(state, mid, evaluated)
+            _move(state, mid, z)
         else:
             lo = mid
 
@@ -531,13 +521,14 @@ def truncation_residuals(
     z_k = p[:, :k] diag(s[:k]) qt[:k] are the truncations of the SVD
     z = p diag(s) qt of the current projected solution.  Each U z_k lies
     in range(U), so its squared residual is ||e_k||_F^2 + ||r z_k||_F^2
-    with e_k = t_a z_k + z_k B - (U^T R1) R2^T (see :class:`KpikState`).
+    with e_k = T_a z_k + z_k B - (U^T R1) R2^T (see :class:`KpikState`).
     Both terms change by one rank-one step from k - 1 to k.
     """
-    e = -(state.r1_proj @ problem.r2.T)
-    lead = (state.prefix.t_a @ p) * s  # t_a p_j s_j
+    space, i = state.space, state.prefix
+    e = -(state.r1_proj[: space.dims[i]] @ problem.r2.T)
+    lead = (space.t_a(i) @ p) * s  # T_a p_j s_j
     trail = (problem.b_matrix.T @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
-    outside = np.cumsum((np.linalg.norm(state.prefix.r @ p, axis=0) * s) ** 2)
+    outside = np.cumsum((np.linalg.norm(space.r[i] @ p, axis=0) * s) ** 2)
     for j in range(s.size):
         e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])
         res = float(np.sqrt(np.sum(e * e) + outside[j]))
@@ -657,16 +648,20 @@ def skpik_solve(
     _search(state, problem, max(tol, STAGNATION_LEVEL), max_sweeps)
     exhausted = False
     while True:
-        stagnated = not exhausted and _stagnated(state, problem)
-        last = exhausted or stagnated or state.sweeps == max_sweeps
-        if last or history[state.sweeps - 1] <= tol:
+        stagnated = _stagnated(state, problem)
+        last = stagnated or state.sweeps == max_sweeps
+        passed = history[state.sweeps - 1] <= tol
+        if last or passed:
             x, res = _compress(state, problem, tol, trunc_tol)
             if res <= tol or last:
                 break
-        try:
-            skpik_sweep(state, problem)
-        except StagnationError:
-            exhausted = True
+        # asked only now, since it may grow the space by the next sweep's block
+        exhausted = _exhausted(state, problem)
+        if exhausted:
+            if not passed:
+                x, res = _compress(state, problem, tol, trunc_tol)
+            break
+        skpik_sweep(state, problem)
     if res <= tol:
         stop_reason = "converged"
     elif exhausted:

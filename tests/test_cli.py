@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import eddyopt.cli as cli
 from eddyopt.discretize import ProblemConfig, TimeGrid, build_mesh, build_operators, lowrank_desired, sample_desired_state
@@ -278,6 +279,21 @@ def test_solve_rejects_target_table_of_wrong_shape(tmp_path, capsys):
     assert "desired-state table has shape (9, 3), expected (9, 2)" in capsys.readouterr().err
 
 
+def test_solve_reads_target_table_of_one_node(tmp_path):
+    # a one-row table, and a single value, keep their n x mT shape
+    opsdir = tmp_path / "ops"
+    opsdir.mkdir()
+    mm_write(opsdir / "M.mtx", sp.csr_matrix([[1.0]]))
+    mm_write(opsdir / "K.mtx", sp.csr_matrix([[2.0]]))
+    yd_file = tmp_path / "yd.txt"
+    for m_t, table in (("3", [[1.0, 0.5, 0.25]]), ("1", [[3.0]])):
+        np.savetxt(yd_file, table)
+        assert run_cli(
+            "solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", m_t,
+            "--sigma", "1", "--beta", "1", "--example", "file", "--yd-file", str(yd_file),
+        ) == 0, m_t
+
+
 def test_solve_import_mode_requires_yd_file(tmp_path, capsys):
     opsdir = tmp_path / "ops"
     run_cli("generate", "--mesh", "2", "--out", str(opsdir))
@@ -357,6 +373,14 @@ def test_sweep_invalid_spec_exits_one(tmp_path, capsys):
         ("yd_file", ["yd.txt"]),
         ("ereg", "a"),
         ("max_it", 1.5),
+        # out of range: each would fail every point, not the spec
+        ("tol", -1),
+        ("tol", 0),
+        ("nu", -2),
+        ("trunc_tol", -1e-3),
+        ("max_it", 0),
+        ("ereg", -1e-6),
+        ("shift", -1.0),
     ]:
         _write_spec(spec, **{key: value})
         assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 1, key

@@ -384,6 +384,38 @@ def test_solve_stop_reason_space_exhausted():
     assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
 
 
+def test_solve_certifies_each_iterate_once(monkeypatch):
+    # on 4 nodes sweep 1 passes tol, its certificate fails, and the space
+    # closes on it: the iterate is compressed and certified once
+    ops, config, grid, _ = _mesh_problem(cells=1, m_t=2, sigma=1e-4, beta=1e-6)
+    yd = sample_desired_state("ex2-slice", build_mesh(1), grid)
+    yd = yd + 0.3 * np.outer(np.arange(ops.n) % 3, np.linspace(0.0, 1.0, grid.m_t))
+    tol = 1e-13
+    compress = skpik._compress
+    calls = []
+
+    def spy(state, *args):
+        calls.append((state.sweeps, state.z.tobytes()))
+        return compress(state, *args)
+
+    monkeypatch.setattr(skpik, "_compress", spy)
+    problem = _problem(ops, config, grid, yd, rhs_tol=config.trunc_tol)
+    x, report = skpik_solve(problem, tol, config.trunc_tol, max_sweeps=60)
+    assert report.extra["stop_reason"] == "space_exhausted"
+    assert report.residual_history[-1] <= tol < report.residual
+    assert len(calls) == len(set(calls)) == len({sweep for sweep, _ in calls})
+    # the same iterate, compressed once as the last sweep allowed
+    calls.clear()
+    fresh = _problem(*_mesh_problem(cells=1, m_t=2, sigma=1e-4, beta=1e-6)[:3], yd,
+                     rhs_tol=config.trunc_tol)
+    x_ref, ref = skpik_solve(fresh, tol, config.trunc_tol, max_sweeps=report.iterations)
+    assert ref.extra["stop_reason"] == "max_sweeps" and len(calls) == 1
+    assert (report.iterations, report.rank, report.residual) == (
+        ref.iterations, ref.rank, ref.residual
+    )
+    np.testing.assert_array_equal(x.left, x_ref.left)
+
+
 def test_report_fields_consistent():
     ops, config, grid, yd = _mesh_problem(cells=3, m_t=4, sigma=1.0, beta=1e-2)
     problem = _problem(ops, config, grid, yd)
@@ -417,22 +449,36 @@ def test_extended_basis_grows_in_place():
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
     space = state.space
+    # each sweep's T_a and U^T R1, copied before the space grows past it
+    nested = []
+    for _ in range(6):
+        skpik_sweep(state, problem)
+        dim = state.dims[0]
+        nested.append((space.t_a(state.prefix).copy(), state.r1_proj[:dim].copy()))
     prefixes = [space.prefix(j, problem, state.phases) for j in range(7)]
     u = space.basis
     assert u.base is not None and space.image.base is not None
     assert u.flags.f_contiguous and space.image.flags.f_contiguous
-    dims = [p.dim for p in prefixes]
+    dims = [space.dims[i] for i in prefixes]
     assert dims == sorted(dims) and dims[-1] == space.dim
     assert np.linalg.norm(u.T @ u - np.eye(space.dim)) <= 1e-12
     np.testing.assert_allclose(space.image, problem.apply_a(u), rtol=0, atol=1e-12)
-    for prefix in prefixes:
-        uk = u[:, : prefix.dim]
+    for i in prefixes:
+        uk = u[:, : space.dims[i]]
         a_uk = problem.apply_a(uk)
-        np.testing.assert_allclose(prefix.t_a, uk.T @ a_uk, rtol=0, atol=1e-12)
-        q, schur = prefix.schur
-        np.testing.assert_allclose(q @ schur @ q.T, prefix.t_a, rtol=0, atol=1e-10)
-        rest = a_uk - uk @ prefix.t_a  # (I - U U^T) A U of this prefix
-        np.testing.assert_allclose(prefix.r.T @ prefix.r, rest.T @ rest, rtol=0, atol=1e-9)
+        t_a = space.t_a(i)
+        np.testing.assert_allclose(t_a, uk.T @ a_uk, rtol=0, atol=1e-12)
+        q, schur = space.schur[i]
+        np.testing.assert_allclose(q @ schur @ q.T, t_a, rtol=0, atol=1e-10)
+        rest = a_uk - uk @ t_a  # (I - U U^T) A U of this prefix
+        r = space.r[i]
+        np.testing.assert_allclose(r.T @ r, rest.T @ rest, rtol=0, atol=1e-9)
+    # a prefix's T_a and U^T R1 are the leading blocks of the last prefix's
+    t_last, r1_last = nested[-1]
+    for t_a, r1_proj in nested:
+        dim = t_a.shape[0]
+        assert np.array_equal(t_a, t_last[:dim, :dim])
+        assert np.array_equal(r1_proj, r1_last[:dim])
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +861,11 @@ def test_time_side_solve_on_projected_operator_with_complex_ritz_pair():
     state = skpik_init(problem)
     for _ in range(6):
         skpik_sweep(state, problem)
-    assert np.abs(np.linalg.eigvals(state.prefix.t_a).imag).max() > 1.0
-    c = state.r1_proj @ problem.r2.T
-    z = state.time_side.solve(state.prefix.schur, c)
-    z_oracle = kron_sylvester_solve(state.prefix.t_a, problem.b_matrix.toarray(), c)
+    t_a = state.space.t_a(state.prefix)
+    assert np.abs(np.linalg.eigvals(t_a).imag).max() > 1.0
+    c = state.r1_proj[: state.dims[0]] @ problem.r2.T
+    z = state.time_side.solve(state.space.schur[state.prefix], c)
+    z_oracle = kron_sylvester_solve(t_a, problem.b_matrix.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
 
 
