@@ -1,18 +1,20 @@
 """Extended-Krylov solver in space, exact in time, for the Sylvester equation.
 
-Only the large space operator A is projected: the left space is grown
-from the left right-hand-side factor with A and its inverse, and its
-image A U is kept so that A is applied once per basis column.  A does
-not depend on sigma, beta or the time grid, so the space is shared: the
-operators keep one :class:`ExtendedSpace` per shift and target range,
-and every solve runs its sweeps on prefixes of it.  The
-projected equation T_a Z + Z B = (U^T R1) R2^T keeps the small, sparse
-time coupling B whole and is solved exactly: one shifted system
-(theta I + B^T) per Ritz value theta of T_a = U^T A U, which reduces to
-two symmetric tridiagonal systems of order m_t.  So the sweep count
-does not grow with the number of time steps.  The iterate is X = U Z.
-Every sweep monitors the projected residual of the Galerkin iterate,
-(I - U U^T) A U Z, from quantities the sweep already holds, so the full
+Only the large space operator A = M^{-1} K_s is projected: the left
+space is grown from the left right-hand-side factor with A and its
+inverse, and its image A U is kept so that A is applied once per basis
+column.  A does not depend on sigma, beta or the time grid, so the
+space is shared: the operators keep one :class:`ExtendedSpace` per
+shift and target range, and every solve runs its sweeps on prefixes of
+it.  The Galerkin condition (M U)^T R = 0 gives the projected equation
+K_a Z + M_a Z B = M_a (U^T R1) R2^T, with K_a = U^T K_s U and
+M_a = U^T M U both positive definite.  It keeps the small, sparse time
+coupling B whole and is solved exactly: the eigenvectors of the pencil
+(K_a, M_a) split it into one shifted system (lambda I + B^T) per real
+Ritz value lambda, all solved in one call as symmetric tridiagonal
+systems of order m_t.  So the sweep count does not grow with the number
+of time steps.  The iterate is X = U Z.  Every sweep monitors its
+residual from small matrices the space already holds, so the full
 solution matrix is never formed.  The final iterate is truncated to
 the smallest rank whose projected residual meets the tolerance, found
 from the SVD of Z and small matrices alone; the truncation must also
@@ -28,15 +30,15 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, zgtsv
+import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
 from .lacore import (
+    LinAlgFailure,
     LowRankMatrix,
     StagnationError,
-    SylvesterConditionError,
     lowrank_norm,
     mgs_orthonormalize,
-    real_schur,
     truncation_rank,
 )
 from .reformulate import SylvesterProblem
@@ -99,12 +101,14 @@ class ExtendedSpace:
 
     Prefix j is the space after j extensions (j = 0 is the seed and its
     inverse image), grown lazily one block at a time; a closed space has
-    no prefix past its last.  ``dims[j]`` is its dimension.  ``t`` is
-    T = U^T A U on all of U, which grows by one block row and one block
-    column per extension, so prefix j's T_a is its leading block
-    (:meth:`t_a`).  ``schur[j]``, the real Schur form of T_a, and
-    ``r[j]``, the triangular factor of (I - U U^T) A U on prefix j, are
-    filled in when a sweep first runs on the prefix (see :meth:`prefix`).
+    no prefix past its last.  ``dims[j]`` is its dimension.  On all of U
+    the space keeps T = U^T A U (``t``), M_a = U^T M U (``m_a``) and
+    K_a = U^T M A U = U^T K_s U (``k_a``); each grows by one block row
+    and one block column per extension, so a prefix's matrices are their
+    leading blocks (:meth:`t_a`).  ``eig[j]``, the eigenvalues and
+    M_a-orthonormal eigenvectors of the pencil (K_a, M_a), and ``r[j]``,
+    the triangular factor of (I - U U^T) A U on prefix j, are filled in
+    when a sweep first runs on the prefix (see :meth:`prefix`).
     Each is computed from the prefix's columns alone, once, so a prefix
     is the same however far the space has grown since and whichever
     solve first ran on it.  A depends on
@@ -129,7 +133,9 @@ class ExtendedSpace:
         self.block_inv = seed
         self.dims: list[int] = []
         self.t = np.empty((0, 0))
-        self.schur: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.m_a = np.empty((0, 0))
+        self.k_a = np.empty((0, 0))
+        self.eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.r: dict[int, np.ndarray] = {}
 
     @property
@@ -182,8 +188,9 @@ class ExtendedSpace:
 
         Returns the index of the prefix reached: j, or the last prefix if
         the space closed before j.  The sparse solves, Gram-Schmidt and
-        the new block row and column of t are charged to
-        ``phases["extend"]`` of the caller.
+        the new block rows and columns of t, m_a and k_a are charged to
+        ``phases["extend"]`` of the caller.  M and K_s are symmetric, so M
+        is applied to the new columns only: U_old^T K_s u_new = (A U_old)^T M u_new.
         """
         while len(self.dims) <= j and not self.closed:
             start = self.dim
@@ -193,7 +200,10 @@ class ExtendedSpace:
                     break
                 u_old, a_old = self.basis[:, :start], self.image[:, :start]
                 u_new, a_new = self.basis[:, start:], self.image[:, start:]
+                m_new = problem.ops.mass @ u_new
                 self.t = np.block([[self.t, u_old.T @ a_new], [u_new.T @ a_old, u_new.T @ a_new]])
+                self.m_a = _bordered(self.m_a, u_old.T @ m_new, u_new.T @ m_new)
+                self.k_a = _bordered(self.k_a, a_old.T @ m_new, m_new.T @ a_new)
             self.dims.append(self.dim)
         return min(j, len(self.dims) - 1)
 
@@ -201,29 +211,35 @@ class ExtendedSpace:
         """Index j (the last prefix once closed), with the prefix made ready for a sweep.
 
         Grows the space as :meth:`grow` does.  The first request for a
-        prefix computes the Schur form of its T_a, charged to
+        prefix computes the eigenpairs of its (K_a, M_a), charged to
         ``project``, and the QR of its (I - U U^T) A U, charged to
         ``residual``; later requests, from any solve, reuse them.
         """
         i = self.grow(j, problem, phases)
-        if i not in self.schur:
-            t_a = self.t_a(i)
+        if i not in self.eig:
+            dim = self.dims[i]
             with _phase(phases, "project"):
-                self.schur[i] = real_schur(t_a)
+                self.eig[i] = scipy.linalg.eigh(self.k_a[:dim, :dim], self.m_a[:dim, :dim])
             with _phase(phases, "residual"):
-                u, a_u = self.basis[:, : self.dims[i]], self.image[:, : self.dims[i]]
-                self.r[i] = np.linalg.qr(a_u - u @ t_a, mode="r")
+                u, a_u = self.basis[:, :dim], self.image[:, :dim]
+                self.r[i] = np.linalg.qr(a_u - u @ self.t_a(i), mode="r")
         return i
 
 
+def _bordered(a: np.ndarray, col: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """The symmetric matrix a bordered by the block column col and the block corner."""
+    return np.block([[a, col], [col.T, corner]])
+
+
 class TimeSideSolver:
-    """Exact solver for T Z + Z B = C with a small dense T and the time coupling B.
+    """Exact solver for diag(lam) Z + Z B = F with real lam and the time coupling B.
 
     B = [[g C^T, w I], [-w I, g C]] - shift I is the matrix of
     :func:`~eddyopt.reformulate.build_B`, with the state steps first and
     the multiplier steps second, C the backward-difference matrix of
     ``m_t`` steps, g = sigma/tau and w = 1/sqrt(beta) > 0.  The solver is
-    built from these four numbers, not from B.  For a shift theta let
+    built from these four numbers, not from B.  Row i of Z solves
+    (theta I + B^T) z = f with theta = lam[i].  Let
     L = (theta - shift) I + g C, which is lower bidiagonal.  The system
     (theta I + B^T) [a; b] = [f1; f2] reads L a - w b = f1 and
     w a + L^T b = f2; eliminating one block in each leaves
@@ -231,13 +247,12 @@ class TimeSideSolver:
         (L^T L + w^2 I) a = L^T f1 + w f2,
         (L L^T + w^2 I) b = L f2 - w f1,
 
-    two symmetric tridiagonal systems, positive definite for real theta.
-    Both are solved by one LAPACK ``dptsv`` of order 2 m_t whose
-    off-diagonal entry between the two halves is zero.  A complex theta
-    gives complex symmetric systems, solved by ``zgtsv``.  The reduced
-    systems are singular exactly when theta I + B^T is.  The reduction
-    squares the conditioning of L, which costs about two digits against
-    a solve with theta I + B^T itself.
+    two symmetric tridiagonal systems, positive definite for every real
+    theta since w > 0.  The systems of all rows are solved by one LAPACK
+    ``dptsv`` whose off-diagonal entries between the two halves of a row,
+    and between consecutive rows, are zero.  The reduction squares the
+    conditioning of L, which costs about two digits against a solve with
+    theta I + B^T itself.
     """
 
     def __init__(self, g: float, w: float, shift: float, m_t: int):
@@ -253,61 +268,34 @@ class TimeSideSolver:
         self.off = np.full(2 * m_t - 1, -self.g)
         self.off[m_t - 1] = 0.0
 
-    def _shifted_solve(self, theta, f: np.ndarray) -> np.ndarray:
-        """Solve (theta I + B^T) x = f through the two reduced systems."""
-        m, g, w = self.m_t, self.g, self.w
-        p = theta - self.shift + g  # the diagonal of L
-        rhs = p * f
-        rhs[:m] += w * f[m:]
-        rhs[m:] -= w * f[:m]
-        rhs[: m - 1] -= g * f[1:m]
-        rhs[m + 1 :] -= g * f[m:-1]
-        if np.iscomplexobj(rhs):
-            off = p * self.off
-            _, _, _, x, info = zgtsv(off, self.diag + p * p, off, rhs, overwrite_b=1)
-        else:
-            _, _, x, info = dptsv(
-                self.diag + p * p, p * self.off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1
-            )
-        if info != 0 or not np.isfinite(x).all():
-            raise SylvesterConditionError(
-                f"singular Sylvester pair: eigenvalue {theta:.6g} of the left "
-                f"coefficient cancels an eigenvalue of the time coupling"
-            )
-        return x
+    def solve(self, lam: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Return Z with diag(lam) Z + Z B = f, row i from (lam[i] I + B^T) z_i = f_i.
 
-    def solve(self, schur: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> np.ndarray:
-        """Return the real Z with t Z + Z B = c, given the real Schur form (q, s) of t.
-
-        t = q s q^T (see :func:`~eddyopt.lacore.real_schur`), and the rows
-        of q^T Z are found from the last upwards, one shifted solve per
-        1x1 block of s.  A 2x2 block holds a complex-conjugate pair
-        (mu, conj mu); its two rows are 2 Re(v zeta), with v the
-        eigenvector for mu and zeta from one complex solve with
-        (mu I + B^T).  Raises :class:`SylvesterConditionError` when a
-        shifted system is singular.
+        Raises :class:`~eddyopt.lacore.LinAlgFailure` if LAPACK reports a
+        failure or the solution is not finite.
         """
-        q, s = schur
-        c = np.asarray(c, dtype=float)
-        if c.shape != (s.shape[0], 2 * self.m_t):
+        lam = np.asarray(lam, dtype=float)
+        f = np.asarray(f, dtype=float)
+        m, g, w = self.m_t, self.g, self.w
+        if f.shape != (lam.size, 2 * m):
             raise ValueError(
-                f"right-hand side shape {c.shape} does not match "
-                f"({s.shape[0]}, {2 * self.m_t})"
+                f"right-hand side shape {f.shape} does not match ({lam.size}, {2 * m})"
             )
-        f = q.T @ c
-        z = np.zeros_like(f)
-        hi = s.shape[0]
-        while hi > 0:
-            lo = hi - 2 if hi >= 2 and s[hi - 1, hi - 2] != 0.0 else hi - 1
-            rhs = f[lo:hi] - s[lo:hi, hi:] @ z[hi:]
-            if hi - lo == 1:
-                z[lo] = self._shifted_solve(s[lo, lo], rhs[0])
-            else:
-                mu, v = np.linalg.eig(s[lo:hi, lo:hi])
-                zeta = self._shifted_solve(mu[0], np.linalg.solve(v, rhs)[0])
-                z[lo:hi] = 2.0 * np.real(np.outer(v[:, 0], zeta))
-            hi = lo
-        return q @ z
+        p = (lam - self.shift + g)[:, None]  # the diagonal of each row's L
+        rhs = p * f
+        rhs[:, :m] += w * f[:, m:]
+        rhs[:, m:] -= w * f[:, :m]
+        rhs[:, : m - 1] -= g * f[:, 1:m]
+        rhs[:, m + 1 :] -= g * f[:, m:-1]
+        diag = (self.diag + p * p).ravel()
+        off = (p * np.append(self.off, 0.0)).ravel()[:-1]  # rows do not couple
+        _, _, z, info = dptsv(diag, off, rhs.ravel(), overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info != 0 or not np.isfinite(z).all():
+            raise LinAlgFailure(
+                f"time-side solve on a space of dimension {lam.size} failed "
+                f"(LAPACK dptsv info {info})"
+            )
+        return z.reshape(f.shape)
 
 
 @dataclass
@@ -319,8 +307,8 @@ class KpikState:
     evaluated, whose leading rows serve every smaller one; the time-side
     solver; the norm of R1 R2^T; and the solution z of the projected
     equation, so that the iterate is X = U z.  With T_a and r the
-    space's for the prefix, the residual of any U z' is
-    U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
+    space's for the prefix, and R1 in range(U), the residual of any U z'
+    is U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
     orthogonal to U.  The state sits on sweep ``sweeps``.  The history of
     projected residuals, relative to the norm of R1 R2^T, holds entry j
     for sweep j, NaN where no sweep j ran; the seconds spent per phase
@@ -419,20 +407,27 @@ def _evaluate(state: KpikState, problem: SylvesterProblem, j: int) -> np.ndarray
     Returns the solution z on prefix j (the last one if the space closed
     before j), without moving the state there.  U^T R1 gains one product
     per block of the space that it lacks, so its leading rows have the
-    same bits whichever prefixes were evaluated before.  Only U^T R1, the
-    time side and the residual norm are this problem's own work, charged
-    to ``time_side``.
+    same bits whichever prefixes were evaluated before.  With the
+    prefix's eigenpairs (lam, q), z = q zhat, where the rows of zhat
+    decouple: diag(lam) zhat + zhat B = q^T M_a (U^T R1) R2^T.  Only
+    U^T R1, the time side and the residual norm are this problem's own
+    work, charged to ``time_side``.
     """
     space = state.space
     i = space.prefix(j, problem, state.phases)
     dims = space.dims
+    dim = dims[i]
     with _phase(state.phases, "time_side"):
-        while (lo := len(state.r1_proj)) < dims[i]:
+        while (lo := len(state.r1_proj)) < dim:
             cols = slice(lo, dims[dims.index(lo) + 1])
             state.r1_proj = np.vstack([state.r1_proj, space.basis[:, cols].T @ problem.r1])
-        z = state.time_side.solve(space.schur[i], state.r1_proj[: dims[i]] @ problem.r2.T)
-        # relies on R1 in range(U): R1 spans the seed, up to the 1e-12 deflation tolerance
-        res = float(np.linalg.norm(space.r[i] @ z))
+        # U^T M R1 = M_a U^T R1 and the residual norm both rely on R1 in range(U):
+        # R1 spans the seed, up to the 1e-12 deflation tolerance
+        r1_proj = state.r1_proj[:dim]
+        lam, q = space.eig[i]
+        z = q @ state.time_side.solve(lam, (q.T @ (space.m_a[:dim, :dim] @ r1_proj)) @ problem.r2.T)
+        inside = space.t_a(i) @ z + z @ problem.b_matrix - r1_proj @ problem.r2.T
+        res = float(np.hypot(np.linalg.norm(inside), np.linalg.norm(space.r[i] @ z)))
     history = state.residual_history
     history.extend([np.nan] * (j - len(history)))
     history[j - 1] = res / state.rhs_norm if state.rhs_norm else res
@@ -452,11 +447,11 @@ def _exhausted(state: KpikState, problem: SylvesterProblem) -> bool:
 def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
     """One sweep: move to the next prefix of the space, solve the projected equation, record.
 
-    The projected equation T_a Z + Z B = (U^T R1) R2^T is solved exactly
-    in time, so the Galerkin condition U^T R = 0 holds on the whole time
-    axis and the residual of X = U z is (I - U U^T) A U z.  Its norm is
-    recorded relative to that of R1 R2^T.  The prefix's T_a, Schur form
-    and r are the space's (see :func:`_evaluate`).  Raises
+    The projected equation K_a Z + M_a Z B = M_a (U^T R1) R2^T is solved
+    exactly in time, so the Galerkin condition (M U)^T R = 0 holds on the
+    whole time axis.  The residual of X = U z is recorded relative to the
+    norm of R1 R2^T (see :class:`KpikState`).  The prefix's matrices,
+    eigenpairs and r are the space's (see :func:`_evaluate`).  Raises
     :class:`StagnationError` when the space has closed after a projected
     solution already exists, since no further progress is possible.
     """
@@ -618,7 +613,7 @@ def skpik_solve(
     ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["phases"]`` holds
     the seconds spent in each of ``PHASES``.  ``extend`` counts only the
     growth of the shared space that this solve caused, and ``project``
-    and ``residual`` the Schur forms and QRs of the prefixes this solve
+    and ``residual`` the eigenproblems and QRs of the prefixes this solve
     was the first to sweep on (see :meth:`ExtendedSpace.prefix`); each is
     0 when another solve did that work before.
     """

@@ -1,5 +1,4 @@
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -22,8 +21,6 @@ from eddyopt import skpik
 from eddyopt.lacore import (
     LowRankMatrix,
     StagnationError,
-    SylvesterConditionError,
-    real_schur,
     truncated_svd,
     truncation_rank,
 )
@@ -233,7 +230,7 @@ def test_sweep_galerkin_orthogonality_and_nesting():
         u = state.basis
         assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
         xt = u @ state.z
-        projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
+        projected = (ops.mass @ u).T @ (a_dense @ xt + xt @ b_dense - r_dense)
         assert np.linalg.norm(projected) <= 1e-10 * np.linalg.norm(r_dense)
         # nesting: the previous space sits inside the new one
         assert np.linalg.norm(prev_u - u @ (u.T @ prev_u)) <= 1e-12
@@ -449,13 +446,15 @@ def test_extended_basis_grows_in_place():
     problem = _problem(ops, config, grid, yd)
     state = skpik_init(problem)
     space = state.space
-    # each sweep's T_a and U^T R1, copied before the space grows past it
+    # each sweep's T_a, M_a, K_a and U^T R1, copied before the space grows past it
     nested = []
     for _ in range(6):
         skpik_sweep(state, problem)
         dim = state.dims[0]
-        nested.append((space.t_a(state.prefix).copy(), state.r1_proj[:dim].copy()))
+        blocks = (space.t_a(state.prefix), space.m_a[:dim, :dim], space.k_a[:dim, :dim])
+        nested.append([b.copy() for b in blocks] + [state.r1_proj[:dim].copy()])
     prefixes = [space.prefix(j, problem, state.phases) for j in range(7)]
+    k_s = ops.stiffness + problem.shift * ops.mass
     u = space.basis
     assert u.base is not None and space.image.base is not None
     assert u.flags.f_contiguous and space.image.flags.f_contiguous
@@ -468,16 +467,22 @@ def test_extended_basis_grows_in_place():
         a_uk = problem.apply_a(uk)
         t_a = space.t_a(i)
         np.testing.assert_allclose(t_a, uk.T @ a_uk, rtol=0, atol=1e-12)
-        q, schur = space.schur[i]
-        np.testing.assert_allclose(q @ schur @ q.T, t_a, rtol=0, atol=1e-10)
+        dim = space.dims[i]
+        m_a, k_a = space.m_a[:dim, :dim], space.k_a[:dim, :dim]
+        np.testing.assert_allclose(m_a, uk.T @ (ops.mass @ uk), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k_a, uk.T @ (k_s @ uk), rtol=0, atol=1e-12)
+        lam, q = space.eig[i]
+        np.testing.assert_allclose(q.T @ m_a @ q, np.eye(dim), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(q.T @ k_a @ q, np.diag(lam), rtol=0, atol=1e-10)
         rest = a_uk - uk @ t_a  # (I - U U^T) A U of this prefix
         r = space.r[i]
         np.testing.assert_allclose(r.T @ r, rest.T @ rest, rtol=0, atol=1e-9)
-    # a prefix's T_a and U^T R1 are the leading blocks of the last prefix's
-    t_last, r1_last = nested[-1]
-    for t_a, r1_proj in nested:
-        dim = t_a.shape[0]
-        assert np.array_equal(t_a, t_last[:dim, :dim])
+    # a prefix's T_a, M_a, K_a and U^T R1 are the leading blocks of the last prefix's
+    *last, r1_last = nested[-1]
+    for *mats, r1_proj in nested:
+        dim = r1_proj.shape[0]
+        for mat, mat_last in zip(mats, last):
+            assert np.array_equal(mat, mat_last[:dim, :dim])
         assert np.array_equal(r1_proj, r1_last[:dim])
 
 
@@ -800,73 +805,53 @@ def _time_side(sigma, m_t, beta, shift):
     [(1, 1.0, 0.5, 0.0), (1, 0.0, 1e-2, 0.7), (5, 1.0, 1e-2, 0.0), (12, 0.3, 1e-4, 1.5)],
 )
 def test_time_side_solve_matches_kronecker_oracle(m_t, sigma, beta, shift):
+    # Ritz values from the shift itself up to 11 above it, all rows in one solve
     rng = np.random.default_rng(m_t)
-    # quasi-triangular part with the complex-conjugate pair 2 +- 0.5i, conjugated
-    # by a random orthogonal matrix so the Schur form has to be computed
-    t = np.diag([2.0, 2.0, 5.0, 0.8, 11.0])
-    t[0, 1], t[1, 0] = 0.5, -0.5
-    t += np.triu(rng.standard_normal((5, 5)), 2)
-    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
-    t = q @ t @ q.T + shift * np.eye(5)
+    lam = shift + np.array([0.0, 0.8, 2.0, 5.0, 11.0])
     b = _shifted_b(sigma, m_t, beta, shift)
     c = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 2 * m_t))
-    solver = _time_side(sigma, m_t, beta, shift)
-    z = solver.solve(real_schur(t), c)
+    z = _time_side(sigma, m_t, beta, shift).solve(lam, c)
     assert z.dtype == np.float64
-    z_oracle = kron_sylvester_solve(t, b.toarray(), c)
+    z_oracle = kron_sylvester_solve(np.diag(lam), b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
-
-
-@st.composite
-def _ritz_pairs_matrix(draw):
-    """A random t with 1-2 complex-conjugate Ritz pairs and 0-2 real values, Re > 0."""
-    pairs = draw(st.integers(1, 2))
-    reals = draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = []
-    for _ in range(pairs):
-        re = 10.0 ** rng.uniform(-1, 1)
-        up, down = 10.0 ** rng.uniform(-1, 1, 2)  # eigenvalues re +- i sqrt(up down)
-        blocks.append(np.array([[re, up], [-down, re]]))
-    blocks += [np.array([[10.0 ** rng.uniform(-1, 1)]]) for _ in range(reals)]
-    t = scipy.linalg.block_diag(*blocks)
-    k = t.shape[0]
-    t += np.triu(rng.standard_normal((k, k)), 2)
-    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    return q @ t @ q.T
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    t=_ritz_pairs_matrix(),
+    lam=st.lists(
+        st.one_of(st.just(0.0), st.floats(-1.0, 1.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=6,
+    ),
     sigma=st.sampled_from([0.0, 1e-4, 1.0, 1e4]),
     log_beta=st.floats(-8.0, 0.0),
     m_t=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_time_side_property_matches_kronecker_oracle(t, sigma, log_beta, m_t, seed):
+def test_time_side_property_matches_kronecker_oracle(lam, sigma, log_beta, m_t, seed):
     b = build_B(sigma, 1.0 / m_t, 10.0**log_beta, m_t)
-    c = np.random.default_rng(seed).standard_normal((t.shape[0], 2 * m_t))
-    z = _time_side(sigma, m_t, 10.0**log_beta, 0.0).solve(real_schur(t), c)
-    z_oracle = kron_sylvester_solve(t, b.toarray(), c)
+    c = np.random.default_rng(seed).standard_normal((len(lam), 2 * m_t))
+    z = _time_side(sigma, m_t, 10.0**log_beta, 0.0).solve(np.array(lam), c)
+    z_oracle = kron_sylvester_solve(np.diag(lam), b.toarray(), c)
     assert np.linalg.norm(z - z_oracle) <= 1e-10 * np.linalg.norm(z_oracle)
 
 
-def test_time_side_solve_on_projected_operator_with_complex_ritz_pair():
-    # after six sweeps on this shifted problem, U^T A U has a complex pair
-    ops, config, grid, yd = _mesh_problem(
-        cells=6, m_t=4, sigma=1.0, beta=1e-2, shift=1.0, eps_reg=1e-2
-    )
+@pytest.mark.parametrize("eps_reg", [0.0, 1e-6])
+def test_swept_prefixes_have_real_ritz_values_at_or_above_the_shift(eps_reg):
+    # eps_reg = 0 takes the default shift nu, eps_reg > 0 the shift 0; either
+    # way K + shift M is positive definite, and so is every time-side system.
+    # At eps_reg = 0 the constant mode spans the kernel of K, and its Ritz
+    # value is the shift up to rounding (1 - 2.3e-13 here)
+    ops, config, grid, yd = _mesh_problem(cells=6, m_t=4, sigma=1.0, beta=1e-2, eps_reg=eps_reg)
     problem = _problem(ops, config, grid, yd)
+    assert problem.shift == (0.0 if eps_reg else config.nu)
     state = skpik_init(problem)
     for _ in range(6):
         skpik_sweep(state, problem)
-    t_a = state.space.t_a(state.prefix)
-    assert np.abs(np.linalg.eigvals(t_a).imag).max() > 1.0
-    c = state.r1_proj[: state.dims[0]] @ problem.r2.T
-    z = state.time_side.solve(state.space.schur[state.prefix], c)
-    z_oracle = kron_sylvester_solve(t_a, problem.b_matrix.toarray(), c)
-    assert np.linalg.norm(z - z_oracle) <= 1e-12 * np.linalg.norm(z_oracle)
+    assert sorted(state.space.eig) == list(range(1, 7))
+    for lam, _ in state.space.eig.values():
+        assert lam.dtype == np.float64
+        assert lam.min() >= problem.shift - 1e-12 * lam.max()
 
 
 def test_time_side_reduction_gives_two_tridiagonal_blocks():
@@ -895,22 +880,11 @@ def test_time_side_extreme_coefficients_match_dense_solve(sigma, beta):
     rng = np.random.default_rng(3)
     solver = _time_side(sigma, m_t, beta, 0.0)
     bt = build_B(sigma, 1.0 / m_t, beta, m_t).toarray().T
-    for theta in np.logspace(-6, 5, 12):
-        f = rng.standard_normal(2 * m_t)
-        x = solver.solve(real_schur(np.array([[theta]])), f[None])[0]
-        ref = np.linalg.solve(theta * np.eye(2 * m_t) + bt, f)
+    thetas = np.logspace(-6, 5, 12)
+    f = rng.standard_normal((thetas.size, 2 * m_t))
+    for theta, x, rhs in zip(thetas, solver.solve(thetas, f), f):
+        ref = np.linalg.solve(theta * np.eye(2 * m_t) + bt, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), theta
-
-
-def test_time_side_singular_shift_raises():
-    # sigma = 0, beta = 1: B^T - 0.5 I has eigenvalues -0.5 +- i, which the
-    # Ritz pair 0.5 -+ i of t cancels exactly
-    solver = _time_side(0.0, 1, 1.0, 0.5)
-    t = np.array([[0.5, 1.0], [-1.0, 0.5]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the solver raises from LAPACK's info, no numpy warning
-        with pytest.raises(SylvesterConditionError):
-            solver.solve(real_schur(t), np.ones((2, 2)))
 
 
 def test_sweep_galerkin_condition_holds_on_whole_time_axis():
@@ -924,7 +898,7 @@ def test_sweep_galerkin_condition_holds_on_whole_time_axis():
         skpik_sweep(state, problem)
         u = state.basis
         xt = u @ state.z
-        projected = u.T @ (a_dense @ xt + xt @ b_dense - r_dense)
+        projected = (ops.mass @ u).T @ (a_dense @ xt + xt @ b_dense - r_dense)
         assert np.linalg.norm(projected) <= 1e-10 * np.linalg.norm(r_dense)
 
 
