@@ -6,7 +6,14 @@ truncated after each linear combination.  ``fminres_solve`` marches the
 per-time-step saddle systems forward with full-vector preconditioned
 MINRES.  Both share one MINRES recurrence parameterized over the vector
 representation, which is what makes the truncation-free low-rank run
-reproduce the dense run iterate for iterate.
+reproduce the dense run iterate for iterate, and both precondition with
+:class:`SchurHatApprox`, the matching Schur approximation of Pearson,
+Stoll and Wathen.
+
+Both take their settings (tol, trunc_tol, max_it) from the
+:class:`~eddyopt.discretize.ProblemConfig` only, and report a miss of
+tol in the :class:`~eddyopt.skpik.SolveReport` (``converged`` false, and
+``extra["stop_reason"]``) instead of raising.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .skpik import SolveReport, factored_residual
 __all__ = [
     "LowRankVector",
     "SchurHatApprox",
-    "FminresStepError",
     "lowrank_axpy_truncate",
     "lowrank_inner",
     "lowrank_norm",
@@ -49,16 +55,8 @@ _EPS = np.finfo(float).eps
 # fminres's coupled residual applies the space operator to this many columns at a time
 RESIDUAL_COLUMNS = 64
 
-
-class FminresStepError(LinAlgFailure):
-    """A per-time-step solve failed to converge; carries the step index."""
-
-    def __init__(self, step: int, relres: float):
-        super().__init__(
-            f"per-step solve did not converge at time step {step} "
-            f"(relative residual {relres:.3e})"
-        )
-        self.step = step
+# lrminres truncates each block of every iterate to at most this rank (None: no cap)
+RANK_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -320,24 +318,21 @@ def lrminres_solve(
     config: ProblemConfig,
     grid: TimeGrid,
     yd_lowrank: LowRankMatrix,
-    tol: float | None = None,
-    k_max: int | None = 50,
-    trunc_tol: float | None = None,
-    max_it: int | None = None,
 ) -> tuple[LowRankVector, SolveReport]:
     """Low-rank preconditioned MINRES on the reduced optimality system.
 
     The preconditioner is block diagonal: the scaled mass block and the
     matching Schur complement approximation of this system (the
     two-block Schur complement is beta times the three-block one, which
-    the scaling below accounts for).  Convergence is certified on the
-    factored residual of the recompressed candidate solution.
+    the scaling below accounts for).  Every iterate is truncated at
+    ``config.trunc_tol`` and to at most ``RANK_CAP`` per block.
+    Convergence is certified on the factored residual of the
+    recompressed candidate solution, ``extra["solution"]``.  When no
+    candidate meets ``config.tol`` within ``config.max_it`` iterations,
+    the report has ``converged`` false and ``extra["stop_reason"]``
+    ``"max_it"`` or ``"krylov_exhausted"``.
     """
-    tol = config.tol if tol is None else tol
-    trunc_tol = config.trunc_tol if trunc_tol is None else trunc_tol
-    max_it = config.max_it if max_it is None else max_it
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol, trunc_tol = config.tol, config.trunc_tol
     start = time.perf_counter()
     n, m_t = ops.n, grid.m_t
     tau = grid.tau
@@ -367,7 +362,7 @@ def lrminres_solve(
             bottom = z.lblk
         else:
             dense = schur.solve_mat(z.lblk.to_dense()) / beta
-            bottom = truncated_svd(LowRankMatrix(dense, np.eye(m_t)), trunc_tol, k_max)
+            bottom = truncated_svd(LowRankMatrix(dense, np.eye(m_t)), trunc_tol, RANK_CAP)
         return LowRankVector(top, bottom)
 
     rhs = LowRankVector(
@@ -391,11 +386,11 @@ def lrminres_solve(
         op.apply,
         apply_prec,
         lowrank_inner,
-        lambda x, y, a: lowrank_axpy_truncate(x, y, a, trunc_tol, k_max),
+        lambda x, y, a: lowrank_axpy_truncate(x, y, a, trunc_tol, RANK_CAP),
         _lr_scale,
         lambda: LowRankVector.zero(n, m_t),
         tol,
-        max_it,
+        config.max_it,
         stop_fn=stop_fn,
     )
     if best["x"] is None:
@@ -450,26 +445,26 @@ def fminres_solve(
     config: ProblemConfig,
     grid: TimeGrid,
     yd: np.ndarray,
-    tol: float | None = None,
-    max_it: int | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """March the per-step saddle systems forward in time.
 
     Each step solves a 3n-by-3n symmetric saddle system for (state,
     control, multiplier) with full-vector MINRES preconditioned by the
-    block diagonal of the scaled mass blocks and the per-step matching
-    Schur approximation.  For a single time step this coincides with the
-    coupled problem; for more steps it is a cheap heuristic that ignores
-    the backward-in-time coupling of the multiplier.  Reported
+    block diagonal of the scaled mass blocks and the one-step
+    :class:`SchurHatApprox`.  For a single time step this coincides with
+    the coupled problem; for more steps it is a cheap heuristic that
+    ignores the backward-in-time coupling of the multiplier.  Reported
     iterations are the mean per-step count.  ``converged`` refers to
-    the per-step solves only; ``extra["coupled_residual"]`` is the
-    relative residual of [Y | Lambda/sqrt(beta)] on the coupled
-    Sylvester equation A X + X B = R1 R2^T.
+    the per-step solves only, each run to ``config.tol`` in at most
+    ``config.max_it`` iterations.  The march stops at the first step
+    that misses tol: the report then has ``converged`` false, that
+    step's MINRES reason as ``extra["stop_reason"]`` and the iterations
+    of the steps run so far, and the trajectories hold those steps (the
+    missed one included) and zeros after them.
+    ``extra["coupled_residual"]`` is the relative residual of
+    [Y | Lambda/sqrt(beta)] on the coupled Sylvester equation
+    A X + X B = R1 R2^T.
     """
-    tol = config.tol if tol is None else tol
-    max_it = config.max_it if max_it is None else max_it
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     start = time.perf_counter()
     yd = np.asarray(yd, dtype=float)
     n, m_t = ops.n, grid.m_t
@@ -489,13 +484,14 @@ def fminres_solve(
         format="csr",
     )
     m_fact = ops.mass_factor
-    f_fact = ops.shifted_factor(sum(time_coefficients(sigma, tau, beta)))  # K + (g + w)*M
+    g, w = time_coefficients(sigma, tau, beta)
+    schur = SchurHatApprox(mass, ops.shifted_factor(g + w), g, tau, 1)
 
     def apply_prec(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         out[:n] = m_fact.solve(v[:n]) / tau
         out[n : 2 * n] = m_fact.solve(v[n : 2 * n]) / (tau * beta)
-        out[2 * n :] = f_fact.solve(mass @ f_fact.solve(v[2 * n :])) / tau
+        out[2 * n :] = schur.solve_vec(v[2 * n :])
         return out
 
     y_traj = np.zeros((n, m_t))
@@ -504,6 +500,7 @@ def fminres_solve(
     counts = []
     final_res = []
     y_prev = np.zeros(n)
+    reason = "converged"
     for step in range(m_t):
         rhs = np.concatenate([tau * (mass @ yd[:, step]), np.zeros(n), sigma * (mass @ y_prev)])
         if np.linalg.norm(rhs) == 0.0:
@@ -518,31 +515,31 @@ def fminres_solve(
             lambda a, b, c: a + c * b,
             lambda a, c: c * a,
             lambda: np.zeros(3 * n),
-            tol,
-            max_it,
+            config.tol,
+            config.max_it,
         )
-        if reason != "converged":
-            raise FminresStepError(step + 1, history[-1] if history else np.inf)
         y_traj[:, step] = x[:n]
         u_traj[:, step] = x[n : 2 * n]
         lam_traj[:, step] = x[2 * n :]
         y_prev = y_traj[:, step]
         counts.append(itn)
         final_res.append(history[-1] if history else 0.0)
+        if reason != "converged":
+            break
     # the per-step solves ignore the backward coupling, so measure it on the whole system
     coupled = _coupled_residual(
         ops, config, grid, yd, np.hstack([y_traj, lam_traj / np.sqrt(beta)])
     )
     report = SolveReport(
         method="fminres",
-        converged=True,
+        converged=reason == "converged",
         iterations=float(np.mean(counts)) if counts else 0.0,
         residual=float(np.max(final_res)) if final_res else 0.0,
         rank=0,
         seconds=time.perf_counter() - start,
         residual_history=final_res,
         extra={
-            "stop_reason": "converged",
+            "stop_reason": reason,
             "coupled_residual": coupled,
             "step_iterations": counts,
             "control": u_traj,

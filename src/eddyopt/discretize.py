@@ -88,6 +88,11 @@ class ProblemConfig:
     max_it: int = 500
 
     def __post_init__(self):
+        # NaN passes every range check below, and an infinite tolerance certifies anything
+        for name in ("sigma", "beta", "nu", "eps_reg", "shift", "tol", "trunc_tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.sigma < 0:

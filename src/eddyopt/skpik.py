@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dptsv
 
+from .discretize import ProblemConfig
 from .lacore import (
     LinAlgFailure,
     LowRankMatrix,
@@ -575,9 +576,9 @@ def _compress(
 
 def skpik_solve(
     problem: SylvesterProblem,
-    tol: float = 1e-6,
-    trunc_tol: float = 1e-10,
-    max_sweeps: int = 500,
+    tol: float = ProblemConfig.tol,
+    trunc_tol: float = ProblemConfig.trunc_tol,
+    max_sweeps: int = ProblemConfig.max_it,
 ) -> tuple[LowRankMatrix, SolveReport]:
     """Run the projection iteration until the certified residual meets tol.
 

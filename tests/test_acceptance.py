@@ -4,12 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they are produced.  The parameter-sweep criteria take a few minutes.
 """
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
+import eddyopt.baselines as baselines
 import eddyopt.cli as cli
 from eddyopt.baselines import (
     _minres,
@@ -301,7 +303,7 @@ def test_criterion_06_time_step_robustness(desk_sweep):
 # criterion 7: baseline sanity
 
 
-def test_criterion_07_baseline_sanity():
+def test_criterion_07_baseline_sanity(monkeypatch):
     problems = []
 
     # (a) truncation-free low-rank MINRES reproduces dense MINRES iterates
@@ -332,20 +334,19 @@ def test_criterion_07_baseline_sanity():
         12,
         stop_fn=lambda x, r: dense_iters.append(x.copy()) or False,
     )
+    monkeypatch.setattr(baselines, "RANK_CAP", None)
     for k in (2, 6, 12):
-        z, _ = lrminres_solve(
-            ops, config, grid, yd_lr, tol=1e-30, k_max=None, trunc_tol=0.0, max_it=k
-        )
+        exact = dataclasses.replace(config, tol=1e-30, trunc_tol=0.0, max_it=k)
+        z, _ = lrminres_solve(ops, exact, grid, yd_lr)
         full = np.concatenate([vec(z.yblk.to_dense()), vec(z.lblk.to_dense())])
         gap = _relerr(full, dense_iters[k - 1])
         if gap > 1e-10:
             problems.append(f"iterate {k} deviates by {gap:.2e}")
+    monkeypatch.undo()  # (b) runs at the default rank cap
 
     # (b) with truncation on, the favorable corner converges
-    ops_f, config_f, grid_f, yd_f = _setup(6, 8, 1e-4, 1e-8)
-    zf, report_f = lrminres_solve(
-        ops_f, config_f, grid_f, lowrank_desired(yd_f, 1e-10), tol=1e-6, k_max=50
-    )
+    ops_f, config_f, grid_f, yd_f = _setup(6, 8, 1e-4, 1e-8, tol=1e-6)
+    zf, report_f = lrminres_solve(ops_f, config_f, grid_f, lowrank_desired(yd_f, 1e-10))
     if not report_f.converged or report_f.residual > 1e-6:
         problems.append(
             f"favorable corner: converged={report_f.converged} "
@@ -353,8 +354,8 @@ def test_criterion_07_baseline_sanity():
         )
 
     # (c) the per-step solver agrees with the oracle at a single step
-    ops_s, config_s, grid_s, yd_s = _setup(4, 1, 1.0, 1e-2)
-    y_traj, report_s = fminres_solve(ops_s, config_s, grid_s, yd_s, tol=1e-10)
+    ops_s, config_s, grid_s, yd_s = _setup(4, 1, 1.0, 1e-2, tol=1e-10)
+    y_traj, report_s = fminres_solve(ops_s, config_s, grid_s, yd_s)
     y_o, u_o, _ = solve_kkt_dense(
         assemble_kkt_dense(ops_s, config_s, grid_s, yd_s), config_s.beta
     )

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eddyopt.baselines as baselines
 from eddyopt.baselines import (
     LowRankVector,
     _block_axpy,
@@ -197,9 +200,9 @@ def test_lrminres_zero_target():
 
 
 def test_lrminres_matches_dense_oracle_tiny():
-    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2)
+    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2, tol=1e-6)
     yd_lr = lowrank_desired(yd, 1e-12)
-    z, report = lrminres_solve(ops, config, grid, yd_lr, tol=1e-6)
+    z, report = lrminres_solve(ops, config, grid, yd_lr)
     assert report.converged
     assert report.extra["stop_reason"] == "converged"
     assert report.residual <= 1e-6
@@ -214,9 +217,9 @@ def test_lrminres_matches_dense_oracle_tiny():
 
 
 def test_lrminres_stop_reason_max_it():
-    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2)
+    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2, tol=1e-6, max_it=1)
     yd_lr = lowrank_desired(yd, 1e-12)
-    _, report = lrminres_solve(ops, config, grid, yd_lr, tol=1e-6, max_it=1)
+    _, report = lrminres_solve(ops, config, grid, yd_lr)
     assert not report.converged
     assert report.iterations == 1
     assert report.extra["stop_reason"] == "max_it"
@@ -225,17 +228,18 @@ def test_lrminres_stop_reason_max_it():
 def test_lrminres_stop_reason_krylov_exhausted():
     # one unknown and one time step: the Krylov space has dimension two,
     # and a tolerance below rounding level cannot be certified on it
-    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0)
+    config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0, tol=1e-30)
     grid = TimeGrid(1)
     yd_lr = lowrank_desired(np.ones((1, 1)), 1e-14)
-    _, report = lrminres_solve(_identity_ops(1), config, grid, yd_lr, tol=1e-30)
+    _, report = lrminres_solve(_identity_ops(1), config, grid, yd_lr)
     assert not report.converged
     assert report.iterations == 2
     assert report.residual <= 1e-14
     assert report.extra["stop_reason"] == "krylov_exhausted"
 
 
-def test_lrminres_truncation_free_matches_dense_minres_iterates():
+def test_lrminres_truncation_free_matches_dense_minres_iterates(monkeypatch):
+    monkeypatch.setattr(baselines, "RANK_CAP", None)
     ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2)
     yd_lr = lowrank_desired(yd, 0.0)
     n, m_t = ops.n, grid.m_t
@@ -272,18 +276,17 @@ def test_lrminres_truncation_free_matches_dense_minres_iterates():
     )
 
     for k in (1, 3, 8, 15):
-        z, report = lrminres_solve(
-            ops, config, grid, yd_lr, tol=1e-30, k_max=None, trunc_tol=0.0, max_it=k
-        )
+        exact = dataclasses.replace(config, tol=1e-30, trunc_tol=0.0, max_it=k)
+        z, report = lrminres_solve(ops, exact, grid, yd_lr)
         full = np.concatenate([vec(z.yblk.to_dense()), vec(z.lblk.to_dense())])
         ref = dense_iters[k - 1]
         assert np.linalg.norm(full - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-30)
 
 
 def test_lrminres_favorable_corner_converges_with_truncation():
-    ops, config, grid, yd = _mesh_setup(cells=6, m_t=8, sigma=1e-4, beta=1e-8)
+    ops, config, grid, yd = _mesh_setup(cells=6, m_t=8, sigma=1e-4, beta=1e-8, tol=1e-6)
     yd_lr = lowrank_desired(yd, 1e-10)
-    z, report = lrminres_solve(ops, config, grid, yd_lr, tol=1e-6, k_max=50)
+    z, report = lrminres_solve(ops, config, grid, yd_lr)
     assert report.converged
     assert report.residual <= 1e-6
 
@@ -293,8 +296,8 @@ def test_lrminres_favorable_corner_converges_with_truncation():
 
 
 def test_fminres_single_step_matches_dense_oracle():
-    ops, config, grid, yd = _mesh_setup(cells=4, m_t=1, sigma=1.0, beta=1e-2)
-    y, report = fminres_solve(ops, config, grid, yd, tol=1e-10)
+    ops, config, grid, yd = _mesh_setup(cells=4, m_t=1, sigma=1.0, beta=1e-2, tol=1e-10)
+    y, report = fminres_solve(ops, config, grid, yd)
     assert report.converged
     assert report.extra["stop_reason"] == "converged"
     y_o, u_o, _ = solve_kkt2(
@@ -305,6 +308,21 @@ def test_fminres_single_step_matches_dense_oracle():
     assert np.linalg.norm(report.extra["control"] - u_o) <= 1e-6 * np.linalg.norm(u_o)
 
 
+def test_fminres_reports_a_missed_step_instead_of_raising():
+    # one MINRES iteration cannot meet tol: the march stops at the first step
+    ops, config, grid, yd = _mesh_setup(cells=4, m_t=4, sigma=1.0, beta=1e-2, max_it=1)
+    y, report = fminres_solve(ops, config, grid, yd)
+    assert not report.converged
+    assert report.extra["stop_reason"] == "max_it"
+    assert report.extra["step_iterations"] == [1]
+    assert report.iterations == 1.0
+    assert report.residual > config.tol
+    assert y.shape == (ops.n, grid.m_t)
+    assert np.linalg.norm(y[:, 0]) > 0.0
+    assert not y[:, 1:].any() and not report.extra["multiplier"][:, 1:].any()
+    assert np.isfinite(report.extra["coupled_residual"])
+
+
 def test_fminres_zero_target_zero_trajectory():
     ops, config, grid, _ = _mesh_setup(cells=2, m_t=3)
     y, report = fminres_solve(ops, config, grid, np.zeros((ops.n, 3)))
@@ -313,8 +331,8 @@ def test_fminres_zero_target_zero_trajectory():
 
 
 def test_fminres_reports_mean_iterations():
-    ops, config, grid, yd = _mesh_setup(cells=3, m_t=4, sigma=2.0, beta=1e-2)
-    y, report = fminres_solve(ops, config, grid, yd, tol=1e-8)
+    ops, config, grid, yd = _mesh_setup(cells=3, m_t=4, sigma=2.0, beta=1e-2, tol=1e-8)
+    y, report = fminres_solve(ops, config, grid, yd)
     counts = report.extra["step_iterations"]
     assert len(counts) == grid.m_t
     assert report.iterations == pytest.approx(np.mean(counts))

@@ -143,6 +143,37 @@ def test_solve_nonconvergence_exits_two(tmp_path):
     assert json.loads(out.read_text())["stop_reason"] == "max_sweeps"
 
 
+def test_solve_fminres_nonconvergence_exits_two_with_json_and_trajectory(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    code = run_cli(
+        "solve", "--method", "fminres", "--mesh", "4", "--mT", "4",
+        "--sigma", "1", "--beta", "1e-2", "--max-it", "2", "--out", str(out),
+    )
+    assert code == 2
+    printed = capsys.readouterr()
+    row = json.loads(out.read_text())
+    assert json.loads(printed.out) == row
+    assert printed.err == ""
+    assert row["converged"] is False and row["stop_reason"] == "max_it"
+    assert row["iters"] == 2.0 and row["residual"] > row["tol"]
+    assert mm_read_dense(tmp_path / "f.Y.mtx").shape == (25, 4)
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--sigma", "sigma", "nan"), ("--beta", "beta", "nan"), ("--nu", "nu", "nan"),
+    ("--ereg", "eps_reg", "inf"), ("--shift", "shift", "-inf"),
+    ("--tol", "tol", "inf"), ("--tol", "tol", "nan"), ("--trunc-tol", "trunc_tol", "inf"),
+])
+def test_solve_rejects_non_finite_settings(capsys, flag, field, value):
+    # an infinite tol certifies any residual, and a NaN weight would fail only in the LU of B
+    # a repeated flag overrides the earlier one; "=" keeps "-inf" from reading as a flag
+    assert run_cli(
+        "solve", "--method", "skpik", "--mesh", "2", "--mT", "2",
+        "--sigma", "1", "--beta", "1e-2", f"{flag}={value}",
+    ) == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite, got {float(value)}\n"
+
+
 def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -379,6 +410,14 @@ def test_sweep_invalid_spec_exits_one(tmp_path, capsys):
         ("nu", -2),
         ("trunc_tol", -1e-3),
         ("max_it", 0),
+        # JSON's Infinity and NaN are numbers to the parser but no settings
+        ("sigmas", [float("nan")]),
+        ("betas", [float("inf")]),
+        ("nu", float("nan")),
+        ("tol", float("inf")),
+        ("trunc_tol", float("inf")),
+        ("ereg", float("inf")),
+        ("shift", float("nan")),
         ("ereg", -1e-6),
         ("shift", -1.0),
     ]:
@@ -402,6 +441,24 @@ def test_sweep_partial_failure_records_row(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert all(line.endswith("false") for line in lines[1:])
+
+
+def test_sweep_fills_the_row_of_a_nonconverged_fminres_point(tmp_path, capsys):
+    # a miss of tol is a result, not a failure: both rows carry n, iters and
+    # residual, and no reason line is printed
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "rows.csv"
+    _write_spec(spec, methods=["lrminres", "fminres"], betas=[1e-2], mts=[4], meshes=[4],
+                max_it=2)
+    assert run_cli("sweep", "--spec", str(spec), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["lrminres", "fminres"]
+    for row in rows:
+        assert row["n"] == "25" and row["converged"] == "false"
+        assert float(row["iters"]) > 0 and float(row["residual"]) > 1e-6
+    assert rows[1]["iters"] == "2.0"
 
 
 def test_sweep_failure_reason_goes_to_stderr(tmp_path, capsys):

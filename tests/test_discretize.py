@@ -241,6 +241,15 @@ def test_config_rejects_bad_values():
         TimeGrid(0)
 
 
+@pytest.mark.parametrize("field", ["sigma", "beta", "nu", "eps_reg", "shift", "tol", "trunc_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_values(field, value):
+    # NaN slips through every range check, and tol = inf certifies any residual
+    settings = {"sigma": 1.0, "beta": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ProblemConfig(**settings)
+
+
 def test_config_defaults_and_shift_rule():
     cfg = ProblemConfig(sigma=1.0, beta=1e-4, nu=2.0)
     assert cfg.eps_reg == pytest.approx(2e-6)

@@ -1,16 +1,19 @@
-"""The benchmark tracer (perfbench/tracing.py) still sees the CLI's layers.
+"""The benchmark tracer (perfbench/tracing.py) still sees the CLI's and the baselines' layers.
 
 The tracer patches module-level bindings, so a refactor of the front end
 that calls a function by another name would blind its per-layer numbers
 without failing anything else.  This runs one solve and a two-point
-sweep under the tracer and checks that each layer recorded a span.
+sweep under the tracer, and each baseline solver once, and checks that
+each layer recorded a span.
 """
 
 import csv
 import json
 from pathlib import Path
 
+import eddyopt.baselines as BL
 import eddyopt.cli as cli
+import eddyopt.discretize as D
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,3 +92,40 @@ def test_tracer_counts_a_grouped_sweep_per_point(tmp_path, monkeypatch, capsys):
     assert parents and set(parents) == {"skpik.skpik_solve"}
     assert passes[0] == passes[1]
     assert all(rank and iters for _, rank, iters in passes[0])
+
+
+def test_tracer_records_the_baseline_layers(monkeypatch):
+    # the calls of the baselines-961 workload (perfbench/workloads.py), on a tiny grid
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    mesh = D.build_mesh(3)
+    config = D.ProblemConfig(sigma=1.0, beta=1e-2)
+    grid = D.TimeGrid(3)
+    ops = D.build_operators(mesh, config)
+    yd = D.sample_desired_state("ex1", mesh, grid)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _, lr_report = BL.lrminres_solve(ops, config, grid, D.lowrank_desired(yd, config.trunc_tol))
+        _, f_report = BL.fminres_solve(ops, config, grid, yd)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    recorded = {name for name, _, _, _ in spans}
+    assert {
+        "baselines.lrminres_solve",
+        "baselines.fminres_solve",
+        "baselines.SchurHatApprox.solve_mat",
+        "baselines.lowrank_axpy_truncate",
+    } <= recorded
+    # both solvers apply their Schur block through the traced method
+    schur_callers = {
+        spans[parent][0] for name, _, _, parent in spans
+        if name == "baselines.SchurHatApprox.solve_mat"
+    }
+    assert schur_callers == {"baselines.lrminres_solve", "baselines.fminres_solve"}
+    # what the workload and the tracer's counters read from the reports
+    assert "solution" in lr_report.extra
+    assert {"multiplier", "step_iterations"} <= f_report.extra.keys()
+    assert tracer.counts["baselines.fminres.step_iters"] == sum(f_report.extra["step_iterations"])
