@@ -30,6 +30,7 @@ from .lacore import (
     LowRankMatrix,
     SparseFactorization,
     factor_cores,
+    lowrank_from_dense,
     lowrank_norm,
     truncate_cores,
     truncated_svd,
@@ -55,7 +56,8 @@ _EPS = np.finfo(float).eps
 # fminres's coupled residual applies the space operator to this many columns at a time
 RESIDUAL_COLUMNS = 64
 
-# lrminres truncates each block of every iterate to at most this rank (None: no cap)
+# lrminres truncates each block of every iterate to at most this rank (None: no cap);
+# its preconditioner's output is truncated by trunc_tol alone
 RANK_CAP = 50
 
 
@@ -361,8 +363,7 @@ def lrminres_solve(
         if z.lblk.rank == 0:
             bottom = z.lblk
         else:
-            dense = schur.solve_mat(z.lblk.to_dense()) / beta
-            bottom = truncated_svd(LowRankMatrix(dense, np.eye(m_t)), trunc_tol, RANK_CAP)
+            bottom = lowrank_from_dense(schur.solve_mat(z.lblk.to_dense()) / beta, trunc_tol)
         return LowRankVector(top, bottom)
 
     rhs = LowRankVector(

@@ -458,8 +458,8 @@ def cmd_sweep(args) -> int:
 # verification against the dense oracles
 
 
-def _scalar_instance():
-    """The closed-form one-unknown, one-step instance used at n=1."""
+def _scalar_instance(m_t: int):
+    """The closed-form one-unknown instance used at n=1, on ``m_t`` time steps."""
     import scipy.sparse as sp
 
     mass = sp.csr_matrix(np.array([[1.0]]))
@@ -467,8 +467,8 @@ def _scalar_instance():
     ops = SpaceOperators(mass, stiff)
     config = ProblemConfig(sigma=1.0, beta=1.0, eps_reg=0.0, shift=0.0,
                            tol=1e-12, trunc_tol=1e-14)
-    grid = TimeGrid(1)
-    yd = np.array([[3.0]])
+    grid = TimeGrid(m_t)
+    yd = np.full((1, m_t), 3.0)
     return ops, config, grid, yd
 
 
@@ -480,7 +480,7 @@ def run_verify(n: int = 25, m_t: int = 4):
     """
     gate = 1e-6
     if n == 1:
-        ops, config, grid, yd = _scalar_instance()
+        ops, config, grid, yd = _scalar_instance(m_t)
     else:
         cells = int(round(np.sqrt(n))) - 1
         if cells < 1 or (cells + 1) ** 2 != n:

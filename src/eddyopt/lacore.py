@@ -3,7 +3,8 @@
 Block Gram-Schmidt with deflation, the one truncation rule and the
 Frobenius norm of factored matrices, rank-adaptive compression of a
 dense table, real Schur form, a dense Sylvester solve, sparse
-factorizations behind one interface, and Matrix Market I/O.  SPD
+factorizations behind one interface, and Matrix Market I/O (one header
+check and one body parser for coordinate and array files).  SPD
 matrices are factored by band Cholesky after a reverse Cuthill-McKee
 ordering, which suits operators of small bandwidth such as those of 2-D
 meshes; the one nonsymmetric matrix, the time coupling B, by SuperLU.
@@ -474,6 +475,13 @@ def sparse_lu_factorize(a) -> SparseFactorization:
 _BANNER = "%%MatrixMarket"
 
 
+def _mm_write(path, fmt: str, sizes, entries) -> None:
+    """Write a general real Matrix Market file: banner, size line, then the entry lines."""
+    with open(path, "w") as fh:
+        fh.write(f"{_BANNER} matrix {fmt} real general\n{' '.join(map(str, sizes))}\n")
+        fh.writelines(entries)
+
+
 def mm_write(path, a) -> None:
     """Write a sparse matrix in Matrix Market coordinate format.
 
@@ -481,24 +489,44 @@ def mm_write(path, a) -> None:
     :func:`mm_read` reproduces them exactly.
     """
     a = sp.coo_matrix(a)
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
-        for i, j, v in zip(a.row, a.col, a.data):
-            fh.write(f"{i + 1} {j + 1} {v:.16e}\n")
+    entries = (f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(a.row, a.col, a.data))
+    _mm_write(path, "coordinate", (*a.shape, a.nnz), entries)
 
 
 def _mm_fail(lineno: int, msg: str):
     raise MatrixMarketError(f"line {lineno}: {msg}")
 
 
-def _mm_sizes(lines, form: str) -> tuple[int, list[int]]:
-    """The size line's index and its nonnegative integers, one per word of ``form``."""
+def _mm_header(path, fmt: str) -> tuple[list[str], int, list[int], str]:
+    """Read a real Matrix Market file of format ``fmt`` and check its header.
+
+    Returns (lines, start, sizes, symmetry); the entries are ``lines[start:]``.
+    Array files must be general, symmetric coordinate files square.
+    """
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not lines:
+        _mm_fail(1, "empty file")
+    symmetries = ("general", "symmetric") if fmt == "coordinate" else ("general",)
+    banner = lines[0].split()
+    if len(banner) != 5 or banner[0] != _BANNER:
+        _mm_fail(1, f"expected banner '{_BANNER} matrix {fmt} real {'|'.join(symmetries)}'")
+    _, obj, kind, field, symmetry = (tok.lower() for tok in banner)
+    if obj != "matrix":
+        _mm_fail(1, f"unsupported object {obj!r}")
+    if kind != fmt:
+        _mm_fail(1, f"unsupported format {kind!r} (only {fmt!r})")
+    if field != "real":
+        _mm_fail(1, f"unsupported field {field!r} (only 'real')")
+    if symmetry not in symmetries:
+        _mm_fail(1, f"unsupported symmetry {symmetry!r}")
+
     idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
+    while idx < len(lines) and (lines[idx].startswith("%") or lines[idx].isspace()):
         idx += 1
     if idx == len(lines):
         _mm_fail(len(lines), "missing size line")
+    form = "rows cols nnz" if fmt == "coordinate" else "rows cols"
     parts = lines[idx].split()
     if len(parts) != len(form.split()):
         _mm_fail(idx + 1, f"size line must be '{form}'")
@@ -508,77 +536,71 @@ def _mm_sizes(lines, form: str) -> tuple[int, list[int]]:
         _mm_fail(idx + 1, f"size line '{form}' must hold integers")
     if min(sizes) < 0:
         _mm_fail(idx + 1, "negative dimension")
-    return idx, sizes
+    if symmetry == "symmetric" and sizes[0] != sizes[1]:
+        _mm_fail(idx + 1, "symmetric matrix must be square")
+    return lines, idx + 1, sizes, symmetry
+
+
+def _mm_entries(lines, start: int, form: str, count: int, bounds=()) -> np.ndarray:
+    """The ``count`` entry lines of ``lines[start:]`` as a float table, one row per line.
+
+    ``form`` names the words of an entry, the value last; the indices
+    before it must be integers in 1..``bounds``.  Blank lines are skipped
+    and the rest is parsed by one ``np.loadtxt`` call.  Only when the
+    parse, the count or an index fails are the lines walked one by one,
+    to name the first bad line.
+    """
+    width = len(form.split())
+    texts = [text for text in lines[start:] if not text.isspace()]
+    try:
+        table = np.loadtxt(texts, comments=None, ndmin=2) if texts else np.empty((0, width))
+        index = table[:, :-1]
+        valid = (index == np.floor(index)) & (1 <= index) & (index <= bounds)
+        if table.shape == (count, width) and valid.all():
+            return table
+    except ValueError:
+        pass
+    seen = 0
+    for lineno, text in enumerate(lines[start:], start + 1):
+        words = text.split()
+        if not words:
+            continue
+        if seen == count:
+            _mm_fail(lineno, f"more than the declared {count} entries")
+        seen += 1
+        if len(words) != width:
+            _mm_fail(lineno, f"entry must be '{form}'")
+        try:
+            index = [float(w) for w in words[:-1]]
+            if not all(i.is_integer() for i in index):
+                raise ValueError
+        except ValueError:
+            _mm_fail(lineno, "row/column indices must be integers")
+        try:
+            float(words[-1])
+        except ValueError:
+            _mm_fail(lineno, f"value {words[-1]!r} is not a real number")
+        for name, i, b in zip(("row", "column"), index, bounds):
+            if not 1 <= i <= b:
+                _mm_fail(lineno, f"{name} index {int(i)} outside 1..{b} (indices are 1-based)")
+    if seen != count:
+        _mm_fail(len(lines), f"expected {count} entries, found {seen}")
+    # every word passed Python's float() but not numpy's parser, e.g. '1_0'
+    _mm_fail(start, "entries below hold numbers outside plain decimal notation")
 
 
 def mm_read(path) -> sp.csr_matrix:
     """Read a real coordinate Matrix Market file into CSR storage.
 
     Symmetric files are expanded to full storage.  Malformed input
-    raises :class:`MatrixMarketError` with the offending line number.
+    raises :class:`MatrixMarketError` naming the first offending line.
     """
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
-    banner = lines[0].split()
-    if len(banner) != 5 or banner[0] != _BANNER:
-        _mm_fail(1, "expected banner '%%MatrixMarket matrix coordinate real <symmetry>'")
-    _, obj, fmt, field, symmetry = (tok.lower() for tok in banner)
-    if obj != "matrix":
-        _mm_fail(1, f"unsupported object {obj!r}")
-    if fmt != "coordinate":
-        _mm_fail(1, f"unsupported format {fmt!r} (only 'coordinate')")
-    if field != "real":
-        _mm_fail(1, f"unsupported field {field!r} (only 'real')")
-    if symmetry not in ("general", "symmetric"):
-        _mm_fail(1, f"unsupported symmetry {symmetry!r}")
-
-    idx, (nrows, ncols, nnz) = _mm_sizes(lines, "rows cols nnz")
-    if symmetry == "symmetric" and nrows != ncols:
-        _mm_fail(idx + 1, "symmetric matrix must be square")
-
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=float)
-    count = 0
-    for lineno in range(idx + 1, len(lines)):
-        text = lines[lineno].strip()
-        if not text:
-            continue
-        if count >= nnz:
-            _mm_fail(lineno + 1, f"more than the declared {nnz} entries")
-        parts = text.split()
-        if len(parts) != 3:
-            _mm_fail(lineno + 1, "entry must be 'row col value'")
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-        except ValueError:
-            _mm_fail(lineno + 1, "row/column indices must be integers")
-        try:
-            v = float(parts[2])
-        except ValueError:
-            _mm_fail(lineno + 1, f"value {parts[2]!r} is not a real number")
-        if not (1 <= i <= nrows):
-            _mm_fail(lineno + 1, f"row index {i} outside 1..{nrows} (indices are 1-based)")
-        if not (1 <= j <= ncols):
-            _mm_fail(lineno + 1, f"column index {j} outside 1..{ncols} (indices are 1-based)")
-        rows[count] = i - 1
-        cols[count] = j - 1
-        vals[count] = v
-        count += 1
-    if count != nnz:
-        _mm_fail(len(lines), f"expected {nnz} entries, found {count}")
-
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-        )
-        vals = np.concatenate([vals, vals[off]])
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+    lines, start, (nrows, ncols, nnz), symmetry = _mm_header(path, "coordinate")
+    table = _mm_entries(lines, start, "row col value", nnz, (nrows, ncols))
+    if symmetry == "symmetric":  # mirror the off-diagonal entries
+        table = np.vstack([table, table[table[:, 0] != table[:, 1]][:, [1, 0, 2]]])
+    rows, cols = (table[:, :2].astype(np.int64) - 1).T
+    out = sp.coo_matrix((table[:, 2], (rows, cols)), shape=(nrows, ncols)).tocsr()
     out.sort_indices()
     return out
 
@@ -588,34 +610,10 @@ def mm_write_dense(path, a) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for v in a.reshape(-1, order="F"):
-            fh.write(f"{v:.16e}\n")
+    _mm_write(path, "array", a.shape, (f"{v:.16e}\n" for v in a.reshape(-1, order="F")))
 
 
 def mm_read_dense(path) -> np.ndarray:
-    """Read a dense matrix written in Matrix Market array format."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
-    banner = lines[0].split()
-    if len(banner) != 5 or banner[0] != _BANNER or banner[2].lower() != "array":
-        _mm_fail(1, "expected banner '%%MatrixMarket matrix array real general'")
-    if banner[3].lower() != "real":
-        _mm_fail(1, f"unsupported field {banner[3]!r} (only 'real')")
-    idx, (nrows, ncols) = _mm_sizes(lines, "rows cols")
-    vals = []
-    for lineno in range(idx + 1, len(lines)):
-        text = lines[lineno].strip()
-        if not text:
-            continue
-        try:
-            vals.append(float(text))
-        except ValueError:
-            _mm_fail(lineno + 1, f"value {text!r} is not a real number")
-    if len(vals) != nrows * ncols:
-        _mm_fail(len(lines), f"expected {nrows * ncols} values, found {len(vals)}")
-    return np.array(vals).reshape((nrows, ncols), order="F")
+    """Read a dense matrix in general Matrix Market array format (errors as :func:`mm_read`)."""
+    lines, start, (nrows, ncols), _ = _mm_header(path, "array")
+    return _mm_entries(lines, start, "value", nrows * ncols).reshape((nrows, ncols), order="F")

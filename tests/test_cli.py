@@ -680,6 +680,21 @@ def test_verify_scalar_instance_exact():
         assert value <= 1e-12, name
 
 
+def test_verify_scalar_instance_runs_on_the_requested_time_grid(monkeypatch):
+    # --n 1 used to solve a one-step instance whatever --mT said
+    build = cli.build_sylvester_problem
+    steps = []
+
+    def spy(ops, config, grid, yd_lr):
+        steps.append(grid.m_t)
+        return build(ops, config, grid, yd_lr)
+
+    monkeypatch.setattr(cli, "build_sylvester_problem", spy)
+    ok, checks = cli.run_verify(n=1, m_t=4)
+    assert steps == [4]
+    assert ok, checks
+
+
 def test_verify_corrupted_solver_fails(monkeypatch, capsys):
     build = cli.build_sylvester_problem
 

@@ -764,6 +764,71 @@ def test_mm_rejects_out_of_bounds_and_nonreal(tmp_path):
         mm_read(path)
 
 
+_COORD = "%%MatrixMarket matrix coordinate real general\n"
+_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (mm_read, _COORD + "2 2 2\n1 1 1.0\n1.5 1 1.0\n",
+         "line 4: row/column indices must be integers"),
+        (mm_read, _COORD + "2 2 2\n\n1 1 1.0\n\n1 3 1.0\n",
+         "line 6: column index 3 outside 1..2 (indices are 1-based)"),
+        (mm_read, _COORD + "2 2 1\n1 1 1.0\n2 2 2.0\n",
+         "line 4: more than the declared 1 entries"),
+        (mm_read, _COORD + "2 2 3\n1 1 1.0\n2 2 2.0\n\n",
+         "line 5: expected 3 entries, found 2"),
+        (mm_read, _COORD + "2 2 2\n1 1 1.0\n2 2\n",
+         "line 4: entry must be 'row col value'"),
+        # two defects whose word counts cancel: the first one is named
+        (mm_read, _COORD + "2 2 2\n1 1\n1 1 1 1.0\n",
+         "line 3: entry must be 'row col value'"),
+        (mm_read, _COORD + "2 2 1\n1 1 1_0\n",
+         "line 2: entries below hold numbers outside plain decimal notation"),
+        (mm_read, "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+         "line 1: unsupported field 'pattern' (only 'real')"),
+        (mm_read_dense, _ARRAY + "2 1\n1.0 2.0\n3.0\n",
+         "line 3: entry must be 'value'"),
+        (mm_read_dense, _ARRAY + "2 1\n1.0\nabc\n",
+         "line 4: value 'abc' is not a real number"),
+        (mm_read_dense, _ARRAY + "1 1\n1.0\n2.0\n",
+         "line 4: more than the declared 1 entries"),
+        (mm_read_dense, "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n",
+         "line 1: unsupported symmetry 'symmetric'"),
+        (mm_read_dense, "%%MatrixMarket matrix array pattern general\n1 1\n1.0\n",
+         "line 1: unsupported field 'pattern' (only 'real')"),
+    ],
+)
+def test_mm_rejects_a_malformed_line_by_number(tmp_path, reader, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError) as err:
+        reader(path)
+    assert str(err.value) == message
+
+
+def test_mm_writers_text(tmp_path):
+    path = tmp_path / "a.mtx"
+    mm_write(path, sp.csr_matrix([[1.0, 0.0], [0.1, -2.5]]))
+    assert path.read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n"
+        "1 1 1.0000000000000000e+00\n"
+        "2 1 1.0000000000000001e-01\n"
+        "2 2 -2.5000000000000000e+00\n"
+    )
+    mm_write_dense(path, np.array([[1.0, 0.1], [-3.0, 2e-300]]))
+    assert path.read_text() == (
+        "%%MatrixMarket matrix array real general\n"
+        "2 2\n"
+        "1.0000000000000000e+00\n"
+        "-3.0000000000000000e+00\n"
+        "1.0000000000000001e-01\n"
+        "2.0000000000000001e-300\n"
+    )
+
+
 def test_mm_dense_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     a = rng.standard_normal((7, 3))

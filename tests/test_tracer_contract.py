@@ -3,13 +3,16 @@
 The tracer patches module-level bindings, so a refactor of the front end
 that calls a function by another name would blind its per-layer numbers
 without failing anything else.  This runs one solve and a two-point
-sweep under the tracer, and each baseline solver once, and checks that
-each layer recorded a span.
+sweep under the tracer, one solve on imported operators that writes its
+factors, and each baseline solver once, and checks that each layer
+recorded a span.
 """
 
 import csv
 import json
 from pathlib import Path
+
+import numpy as np
 
 import eddyopt.baselines as BL
 import eddyopt.cli as cli
@@ -50,6 +53,35 @@ def test_tracer_records_the_cli_layers(tmp_path, monkeypatch, capsys):
     recorded = {name for name, _, _, _ in tracer.spans}
     assert EXPECTED_SPANS <= recorded, EXPECTED_SPANS - recorded
     assert cli.cmd_solve is original
+
+
+def test_tracer_records_the_file_io_of_an_imported_solve(tmp_path, monkeypatch, capsys):
+    # the solve call of the cli-file workload (perfbench/workloads.py): two operator
+    # reads, a target table and two factor files written
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    ops_dir = tmp_path / "ops"
+    assert cli.main(["generate", "--mesh", "3", "--out", str(ops_dir)]) == 0
+    yd_path = tmp_path / "target.txt"
+    np.savetxt(yd_path, np.outer(np.arange(16.0), [1.0, -1.0]))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main([
+            "solve", "--method", "skpik", "--matrices", str(ops_dir), "--mT", "2",
+            "--sigma", "1", "--beta", "1e-2", "--example", "file",
+            "--yd-file", str(yd_path), "--out", str(tmp_path / "res.json"),
+        ]) == 0
+    finally:
+        tracer.uninstall()
+    names = [name for name, _, _, _ in tracer.spans]
+    assert names.count("lacore.mm_read") == 2
+    assert names.count("lacore.mm_write_dense") == 2
+    sizes = (ops_dir / "M.mtx").stat().st_size + (ops_dir / "K.mtx").stat().st_size
+    assert tracer.counts["lacore.mm_read.bytes"] == sizes
+    written = sum((tmp_path / f"res.{f}.mtx").stat().st_size for f in ("X1", "X2"))
+    assert tracer.counts["lacore.mm_write_dense.bytes"] == written
 
 
 def test_tracer_counts_a_grouped_sweep_per_point(tmp_path, monkeypatch, capsys):
