@@ -53,9 +53,6 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-# fminres's coupled residual applies the space operator to this many columns at a time
-RESIDUAL_COLUMNS = 64
-
 # lrminres truncates each block of every iterate to at most this rank (None: no cap);
 # its preconditioner's output is truncated by trunc_tol alone
 RANK_CAP = 50
@@ -168,8 +165,6 @@ class SchurHatApprox:
     def solve_mat(self, v: np.ndarray) -> np.ndarray:
         """Apply the inverse to an n-by-m_t block of time slices."""
         v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
         if v.shape[1] != self.m_t:
             raise ValueError(f"expected {self.m_t} time slices, got {v.shape[1]}")
         w = np.empty_like(v)
@@ -329,29 +324,17 @@ def lrminres_solve(
     the scaling below accounts for).  Every iterate is truncated at
     ``config.trunc_tol`` and to at most ``RANK_CAP`` per block.
     Convergence is certified on the factored residual of the
-    recompressed candidate solution, ``extra["solution"]``.  When no
-    candidate meets ``config.tol`` within ``config.max_it`` iterations,
-    the report has ``converged`` false and ``extra["stop_reason"]``
-    ``"max_it"`` or ``"krylov_exhausted"``.
+    recompressed candidate solution, ``extra["solution"]``; only the
+    best candidate certified is kept.  When no candidate meets
+    ``config.tol`` within ``config.max_it`` iterations, the report has
+    ``converged`` false and ``extra["stop_reason"]`` ``"max_it"`` or
+    ``"krylov_exhausted"``.  A zero target stops MINRES at 0 iterations,
+    and its rank-0 candidate certifies with absolute residual 0.
     """
     tol, trunc_tol = config.tol, config.trunc_tol
     start = time.perf_counter()
     n, m_t = ops.n, grid.m_t
     tau = grid.tau
-
-    if lowrank_norm(yd_lowrank) == 0.0:
-        report = SolveReport(
-            method="lrminres",
-            converged=True,
-            iterations=0,
-            residual=0.0,
-            rank=0,
-            seconds=time.perf_counter() - start,
-            absolute_residual=True,
-            extra={"solution": LowRankMatrix.zero(n, 2 * m_t), "stop_reason": "converged"},
-        )
-        return LowRankVector.zero(n, m_t), report
-
     problem = build_sylvester_problem(ops, config, grid, yd_lowrank)
     op = _CoupledOperator(ops, config, grid)
     m_fact = ops.mass_factor
@@ -371,16 +354,16 @@ def lrminres_solve(
         LowRankMatrix.zero(n, m_t),
     )
 
-    best: dict = {"x": None, "res": np.inf}
+    xc, res = None, np.inf
 
-    def stop_fn(zx: LowRankVector, relres: float) -> bool:
-        if relres > tol:
-            return False
+    def certify(zx: LowRankVector) -> float:
+        """Certify the recompressed candidate of zx, and keep it if it is the best so far."""
+        nonlocal xc, res
         candidate = truncated_svd(LowRankMatrix(*combined_solution_factors(zx)), trunc_tol)
-        res = factored_residual(candidate.left, candidate.right, problem)
-        if res < best["res"]:
-            best.update(x=candidate, res=res)
-        return res <= tol
+        candidate_res = factored_residual(candidate.left, candidate.right, problem)
+        if xc is None or candidate_res < res:
+            xc, res = candidate, candidate_res
+        return candidate_res
 
     z, history, itn, reason = _minres(
         rhs,
@@ -392,13 +375,10 @@ def lrminres_solve(
         lambda: LowRankVector.zero(n, m_t),
         tol,
         config.max_it,
-        stop_fn=stop_fn,
+        stop_fn=lambda zx, relres: relres <= tol and certify(zx) <= tol,
     )
-    if best["x"] is None:
-        xc = truncated_svd(LowRankMatrix(*combined_solution_factors(z)), trunc_tol)
-        res = factored_residual(xc.left, xc.right, problem)
-    else:
-        xc, res = best["x"], best["res"]
+    if xc is None:
+        certify(z)
     if res <= tol:  # the last candidate can certify after the MINRES estimate missed
         reason = "converged"
     report = SolveReport(
@@ -409,6 +389,7 @@ def lrminres_solve(
         rank=xc.rank,
         seconds=time.perf_counter() - start,
         residual_history=history,
+        absolute_residual=problem.rhs_norm == 0.0,
         extra={"solution": xc, "stop_reason": reason},
     )
     return z, report
@@ -424,17 +405,14 @@ def _coupled_residual(
     """||A X + X B - [0 | Yd/sqrt(beta)]||_F / ||Yd/sqrt(beta)||_F for a dense X.
 
     A = M^{-1} K and B is :func:`~eddyopt.reformulate.build_B`, unshifted:
-    a shift adds and takes away the same s X.  X B is formed whole and A X
-    is added ``RESIDUAL_COLUMNS`` columns at a time, so no n-by-2m_t
-    temporary beyond the residual itself is made.  The norm is absolute
-    when Yd is zero.
+    a shift adds and takes away the same s X.  X B and A X are each
+    formed whole, A X by one band solve of all 2 m_t columns.  The norm is
+    absolute when Yd is zero.
     """
     m_t = grid.m_t
     scale = 1.0 / np.sqrt(config.beta)
     res = np.asarray(x @ build_B(config.sigma, grid.tau, config.beta, m_t))
-    for lo in range(0, 2 * m_t, RESIDUAL_COLUMNS):
-        hi = min(lo + RESIDUAL_COLUMNS, 2 * m_t)
-        res[:, lo:hi] += ops.mass_factor.solve(ops.stiffness @ x[:, lo:hi])
+    res += ops.mass_factor.solve(ops.stiffness @ x)
     res[:, m_t:] -= scale * yd
     rhs_norm = scale * float(np.linalg.norm(yd))
     res_norm = float(np.linalg.norm(res))
@@ -464,7 +442,9 @@ def fminres_solve(
     missed one included) and zeros after them.
     ``extra["coupled_residual"]`` is the relative residual of
     [Y | Lambda/sqrt(beta)] on the coupled Sylvester equation
-    A X + X B = R1 R2^T.
+    A X + X B = R1 R2^T.  A step with a zero right-hand side stops
+    MINRES at 0 iterations with the zero vector, so a zero target gives
+    zero trajectories and 0 iterations per step.
     """
     start = time.perf_counter()
     yd = np.asarray(yd, dtype=float)
@@ -504,10 +484,6 @@ def fminres_solve(
     reason = "converged"
     for step in range(m_t):
         rhs = np.concatenate([tau * (mass @ yd[:, step]), np.zeros(n), sigma * (mass @ y_prev)])
-        if np.linalg.norm(rhs) == 0.0:
-            counts.append(0)
-            final_res.append(0.0)
-            continue
         x, history, itn, reason = _minres(
             rhs,
             lambda v: a_step @ v,

@@ -191,7 +191,7 @@ def _load_source(args, config: ProblemConfig):
                 "built-in examples need node coordinates; with --matrices use "
                 "--example file and --yd-file"
             )
-        yd = sample_desired_state({"ex1": "ex1", "ex2": "ex2-slice"}[args.example], mesh, grid)
+        yd = sample_desired_state(args.example, mesh, grid)
     return ops, grid, yd
 
 

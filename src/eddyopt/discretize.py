@@ -276,14 +276,14 @@ def sample_desired_state(example: str, mesh: Mesh2D, grid: TimeGrid) -> np.ndarr
     """Nodal samples of a built-in target state, one column per time step.
 
     ``example`` selects 'ex1' (discontinuous split-domain profile) or
-    'ex2-slice' (product of sines); both are constant in time.  Only the
+    'ex2' (product of sines); both are constant in time.  Only the
     built-in targets are sampled here: a table of values enters through
     the CLI (``--yd-file`` or a sweep spec's ``yd_file``), which checks
     its shape and entries, or goes to :func:`lowrank_desired` directly.
     """
     if example == "ex1":
         profile = _target_profile_split_domain(mesh.nodes)
-    elif example == "ex2-slice":
+    elif example == "ex2":
         profile = _target_profile_product_sine(mesh.nodes)
     else:
         raise ValueError(f"unknown desired-state example {example!r}")

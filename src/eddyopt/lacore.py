@@ -136,10 +136,8 @@ def mgs_orthonormalize(block, against=None):
     if block.ndim == 1:
         block = block[:, None]
     n = block.shape[0]
-    if against is not None:
-        against = np.asarray(against, dtype=float)
-        if against.shape[1] == 0:
-            against = None
+    # n x 0 columns project out exact zeros
+    against = np.zeros((n, 0)) if against is None else np.asarray(against, dtype=float)
     kept: list[np.ndarray] = []
     for j in range(block.shape[1]):
         v = block[:, j].copy()
@@ -147,8 +145,7 @@ def mgs_orthonormalize(block, against=None):
         if pre == 0.0 or not np.isfinite(pre):
             continue
         for _ in range(2):
-            if against is not None:
-                v -= against @ (against.T @ v)
+            v -= against @ (against.T @ v)
             for q in kept:
                 v -= q * (q @ v)
         nrm = np.linalg.norm(v)
@@ -177,8 +174,8 @@ def truncation_rank(s: np.ndarray, rtol: float) -> int:
     ``rtol = 0`` keeps every nonzero value.  Any nonnegative ``s`` is
     taken in the order given: entries are dropped from the end.
     """
-    if rtol < 0:
-        raise ValueError("truncation tolerance must be nonnegative")
+    if not rtol >= 0:  # written so that NaN fails too
+        raise ValueError(f"truncation tolerance must be nonnegative, got {rtol}")
     if s.size == 0:
         return 0
     # tail[k] = ||s[k:]||_2, accumulated by hypot so it neither over- nor underflows

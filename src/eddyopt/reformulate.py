@@ -18,6 +18,7 @@ provided as verification oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,7 @@ from .lacore import (
     LowRankMatrix,
     NotSpdError,
     SparseFactorization,
+    lowrank_norm,
     mgs_orthonormalize,
     sparse_lu_factorize,
 )
@@ -66,11 +68,9 @@ def time_difference_matrix(m_t: int) -> sp.csr_matrix:
     """Lower bidiagonal backward-difference matrix (1 on, -1 below the diagonal)."""
     if m_t < 1:
         raise ValueError("m_t must be at least 1")
-    if m_t == 1:
-        return sp.identity(1, format="csr")
     return (
         sp.identity(m_t, format="csr")
-        - sp.diags([np.ones(m_t - 1)], [-1], format="csr")
+        - sp.diags([np.ones(m_t - 1)], [-1], shape=(m_t, m_t), format="csr")
     ).tocsr()
 
 
@@ -164,7 +164,9 @@ class SylvesterProblem:
     basis ``mgs_orthonormalize(Y1)`` of the range of R1 = Y1/sqrt(beta):
     it does not depend on beta, so every problem on ``ops`` with the same
     shift and target range shares one extended Krylov space, which
-    ``ops`` keeps.  No solver uses ``b_lu``, the LU factorization of
+    ``ops`` keeps.  ``rhs_norm`` is ||R1 R2^T||_F, computed once per
+    object; :func:`dataclasses.replace` makes a new object, which computes
+    its own.  No solver uses ``b_lu``, the LU factorization of
     ``b_matrix``; it stays only because the benchmark's tracer wraps it,
     until the next change to the benchmark.  The object is immutable in
     use; the spaces it shares grow as solves ask for them, so solves on
@@ -184,6 +186,11 @@ class SylvesterProblem:
     w: float
     ops: SpaceOperators
     seed: np.ndarray
+
+    @cached_property
+    def rhs_norm(self) -> float:
+        """||R1 R2^T||_F, computed on first use and kept."""
+        return lowrank_norm(LowRankMatrix(self.r1, self.r2))
 
 
 def build_sylvester_problem(

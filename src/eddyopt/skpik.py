@@ -306,20 +306,19 @@ class KpikState:
     Holds the shared extended space, on whose prefix U the state sits;
     the projected right-hand-side factor U^T R1 of the largest prefix
     evaluated, whose leading rows serve every smaller one; the time-side
-    solver; the norm of R1 R2^T; and the solution z of the projected
-    equation, so that the iterate is X = U z.  With T_a and r the
-    space's for the prefix, and R1 in range(U), the residual of any U z'
-    is U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
+    solver; and the solution z of the projected equation, so that the
+    iterate is X = U z.  With T_a and r the space's for the prefix, and
+    R1 in range(U), the residual of any U z' is
+    U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
     orthogonal to U.  The state sits on sweep ``sweeps``.  The history of
-    projected residuals, relative to the norm of R1 R2^T, holds entry j
-    for sweep j, NaN where no sweep j ran; the seconds spent per phase
-    sit next to it.
+    projected residuals, relative to the problem's ``rhs_norm``, holds
+    entry j for sweep j, NaN where no sweep j ran; the seconds spent per
+    phase sit next to it.
     """
 
     space: ExtendedSpace
     time_side: TimeSideSolver
     r1_proj: np.ndarray
-    rhs_norm: float
     phases: dict[str, float]
     z: np.ndarray | None = None
     sweeps: int = 0
@@ -355,27 +354,19 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
 
     Evaluates || A x1 x2^T + x1 x2^T B - R1 R2^T ||_F / || R1 R2^T ||_F
     through skinny QR factors of the stacked slim blocks, never forming
-    an n-by-2m_t matrix.  When the right-hand side is zero the absolute
-    norm is returned instead.
+    an n-by-2m_t matrix.  x1 and x2 are 2-D, with one column per rank.
+    The denominator is the problem's ``rhs_norm``; when it is zero the
+    absolute norm is returned instead.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if x1.ndim == 1:
-        x1 = x1[:, None]
-    if x2.ndim == 1:
-        x2 = x2[:, None]
-    den = lowrank_norm(LowRankMatrix(problem.r1, problem.r2))
+    den = problem.rhs_norm
     if x1.shape[1] == 0 or x2.shape[1] == 0:
         return 1.0 if den > 0 else 0.0
-    left_parts = [problem.apply_a(x1), x1]
-    right_parts = [x2, problem.b_matrix.T @ x2]
-    if problem.r1.shape[1]:
-        left_parts.append(-problem.r1)
-        right_parts.append(problem.r2)
-    num = lowrank_norm(LowRankMatrix(np.column_stack(left_parts), np.column_stack(right_parts)))
-    if den == 0.0:
-        return num
-    return num / den
+    left = np.column_stack([problem.apply_a(x1), x1, -problem.r1])
+    right = np.column_stack([x2, problem.b_matrix.T @ x2, problem.r2])
+    num = lowrank_norm(LowRankMatrix(left, right))
+    return num / den if den else num
 
 
 def skpik_init(problem: SylvesterProblem) -> KpikState:
@@ -397,7 +388,6 @@ def skpik_init(problem: SylvesterProblem) -> KpikState:
         space=space,
         time_side=TimeSideSolver(problem.g, problem.w, problem.shift, problem.m_t),
         r1_proj=r1_proj,
-        rhs_norm=lowrank_norm(LowRankMatrix(problem.r1, problem.r2)),
         phases=phases,
     )
 
@@ -431,7 +421,7 @@ def _evaluate(state: KpikState, problem: SylvesterProblem, j: int) -> np.ndarray
         res = float(np.hypot(np.linalg.norm(inside), np.linalg.norm(space.r[i] @ z)))
     history = state.residual_history
     history.extend([np.nan] * (j - len(history)))
-    history[j - 1] = res / state.rhs_norm if state.rhs_norm else res
+    history[j - 1] = res / problem.rhs_norm if problem.rhs_norm else res
     return z
 
 
@@ -528,7 +518,7 @@ def truncation_residuals(
     for j in range(s.size):
         e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])
         res = float(np.sqrt(np.sum(e * e) + outside[j]))
-        yield res / state.rhs_norm if state.rhs_norm else res
+        yield res / problem.rhs_norm if problem.rhs_norm else res
 
 
 def _compress(
@@ -618,12 +608,14 @@ def skpik_solve(
     was the first to sweep on (see :meth:`ExtendedSpace.prefix`); each is
     0 when another solve did that work before.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # written so that NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not trunc_tol >= 0:
+        raise ValueError(f"trunc_tol must be nonnegative, got {trunc_tol}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     start = time.perf_counter()
-    if lowrank_norm(LowRankMatrix(problem.r1, problem.r2)) == 0.0:
+    if problem.rhs_norm == 0.0:
         x = LowRankMatrix.zero(problem.n, 2 * problem.m_t)
         report = SolveReport(
             method="skpik",

@@ -197,6 +197,11 @@ def test_lrminres_zero_target():
     assert report.iterations == 0
     assert lowrank_norm(z.yblk) == 0.0
     assert report.extra["stop_reason"] == "converged"
+    # MINRES stops at beta_1 = 0 and the rank-0 candidate certifies at 0, absolutely
+    assert report.residual == 0.0
+    assert report.rank == 0
+    assert report.extra["solution"].shape == (ops.n, 2 * grid.m_t)
+    assert report.absolute_residual
 
 
 def test_lrminres_matches_dense_oracle_tiny():
@@ -328,6 +333,9 @@ def test_fminres_zero_target_zero_trajectory():
     y, report = fminres_solve(ops, config, grid, np.zeros((ops.n, 3)))
     assert np.array_equal(y, np.zeros_like(y))
     assert report.iterations == 0.0
+    # every step stops MINRES at beta_1 = 0 with the zero vector
+    assert report.extra["step_iterations"] == [0] * grid.m_t
+    assert report.residual == 0.0
 
 
 def test_fminres_reports_mean_iterations():

@@ -190,7 +190,7 @@ def test_desired_state_time_constant_is_rank_one():
 def test_desired_state_second_example_and_unknown_name():
     mesh = build_mesh(3)
     grid = TimeGrid(2)
-    yd = sample_desired_state("ex2-slice", mesh, grid)
+    yd = sample_desired_state("ex2", mesh, grid)
     mid = np.where((mesh.nodes[:, 0] == 0.5) & (mesh.nodes[:, 1] == 0.5))[0]
     if mid.size:
         assert yd[mid[0], 0] == pytest.approx(1.0)

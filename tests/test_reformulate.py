@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from eddyopt.discretize import (
     sample_desired_state,
 )
 import eddyopt.lacore as lacore
+import eddyopt.reformulate as reformulate
 from eddyopt.baselines import fminres_solve, lrminres_solve
 from eddyopt.lacore import LowRankMatrix, NotSpdError
 from eddyopt.reformulate import (
@@ -32,6 +34,7 @@ from eddyopt.reformulate import (
     unvec,
     vec,
 )
+from eddyopt.skpik import skpik_solve
 
 from oracles import kron_sylvester_solve, solve_kkt2
 
@@ -376,6 +379,26 @@ def test_problem_unique_solvability_on_tiny_instance():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(ops.n)
     assert np.linalg.norm(problem.apply_a_inv(problem.apply_a(v)) - v) <= 1e-10
+
+
+def test_problem_rhs_norm_is_computed_once_per_problem(monkeypatch):
+    ops, config, grid, yd = _small_problem(cells=2, m_t=3, sigma=1.0, beta=1e-2)
+    problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, 1e-14))
+    calls = []
+
+    def counted(x):
+        calls.append(x.rank)
+        return lacore.lowrank_norm(x)
+
+    monkeypatch.setattr(reformulate, "lowrank_norm", counted)
+    _, report = skpik_solve(problem, tol=1e-10)
+    assert report.converged
+    assert problem.rhs_norm == pytest.approx(np.linalg.norm(problem.r1 @ problem.r2.T), rel=1e-14)
+    assert len(calls) == 1
+    # a replaced right-hand side gets its own norm, not the cached one
+    doubled = dataclasses.replace(problem, r2=2.0 * problem.r2)
+    assert doubled.rhs_norm == pytest.approx(2.0 * problem.rhs_norm, rel=1e-14)
+    assert len(calls) == 2
 
 
 def test_problem_warns_for_tiny_beta():

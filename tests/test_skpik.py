@@ -323,6 +323,16 @@ def test_solve_rejects_empty_sweep_budget():
         skpik_solve(problem, max_sweeps=0)
 
 
+@pytest.mark.parametrize("setting", ["tol", "trunc_tol"])
+def test_solve_rejects_nan_tolerances(setting):
+    # unchecked, tol = NaN sweeps until the space closes and trunc_tol = NaN
+    # returns a rank-0 "solution"
+    ops, config, grid, yd = _mesh_problem()
+    problem = _problem(ops, config, grid, yd)
+    with pytest.raises(ValueError, match=setting):
+        skpik_solve(problem, **{setting: np.nan})
+
+
 def test_solve_stop_reason_stagnation():
     # below the attainable accuracy that eps_reg sets on a 289-node mesh the
     # residual creeps: without the stop this runs 144 sweeps until the space closes
@@ -385,7 +395,7 @@ def test_solve_certifies_each_iterate_once(monkeypatch):
     # on 4 nodes sweep 1 passes tol, its certificate fails, and the space
     # closes on it: the iterate is compressed and certified once
     ops, config, grid, _ = _mesh_problem(cells=1, m_t=2, sigma=1e-4, beta=1e-6)
-    yd = sample_desired_state("ex2-slice", build_mesh(1), grid)
+    yd = sample_desired_state("ex2", build_mesh(1), grid)
     yd = yd + 0.3 * np.outer(np.arange(ops.n) % 3, np.linspace(0.0, 1.0, grid.m_t))
     tol = 1e-13
     compress = skpik._compress

@@ -157,6 +157,12 @@ def test_tracer_records_the_baseline_layers(monkeypatch):
         if name == "baselines.SchurHatApprox.solve_mat"
     }
     assert schur_callers == {"baselines.lrminres_solve", "baselines.fminres_solve"}
+    # lrminres certifies its candidates through the traced binding
+    certify_callers = {
+        spans[parent][0] for name, _, _, parent in spans
+        if name == "baselines.factored_residual"
+    }
+    assert certify_callers == {"baselines.lrminres_solve"}
     # what the workload and the tracer's counters read from the reports
     assert "solution" in lr_report.extra
     assert {"multiplier", "step_iterations"} <= f_report.extra.keys()
