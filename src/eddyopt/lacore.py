@@ -232,11 +232,14 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     truncated with the error budget E leaves over; since E is
     orthogonal to range(Q) the two errors add in squares.  The Gaussian
     draws come from a fixed seed, so repeated calls return identical
-    factors.  ``rtol = 0``, finite tables whose norm overflows and
-    tables whose range would pass a quarter of min(n, m) columns before
-    meeting the bound take the exact path,
-    ``truncated_svd(LowRankMatrix(a, I), rtol)``.  A NaN or infinite
-    entry raises ValueError naming its (row, column).
+    factors.  Every round forms E in place in one n-by-m work buffer,
+    allocated by the first round, so the rounds hold at most one table
+    beyond A, which is only read, and a zero table allocates none.
+    ``rtol = 0``, finite tables whose norm overflows and tables whose
+    range would pass a quarter of min(n, m) columns before meeting the
+    bound take the exact path, ``truncated_svd(LowRankMatrix(a, I),
+    rtol)``.  A NaN or infinite entry raises ValueError naming its
+    (row, column).
     """
     if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
@@ -254,6 +257,7 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     rng = np.random.default_rng(0)
     q = np.zeros((n, 0))
     resid, resid_norm = a, norm_a
+    buf = None
     width = RANGE_BLOCK
     while resid_norm > RANGE_BUDGET_FRACTION * allowed:
         if q.shape[1] + width > RANGE_CAP_FRACTION * min(n, m):
@@ -263,8 +267,10 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
             break
         q = np.hstack([q, block])
         core = q.T @ a
+        if buf is None:
+            buf = np.empty((n, m))
         # formed anew each round: a downdated residual drifts at the level checked here
-        resid = a - q @ core
+        resid = np.subtract(a, np.matmul(q, core, out=buf), out=buf)
         resid_norm = float(np.linalg.norm(resid))
         width *= 2
     if resid_norm > allowed:  # capped, or deflated short of the bound

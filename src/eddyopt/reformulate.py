@@ -90,12 +90,19 @@ def build_B(sigma: float, tau: float, beta: float, m_t: int) -> sp.csr_matrix:
 
     Block form [[g C^T, w I], [-w I, g C]] with C the backward-difference
     matrix and (g, w) from :func:`time_coefficients`; its symmetric part
-    is positive definite whenever sigma > 0.
+    is positive definite whenever sigma > 0.  Built in one call from its
+    six diagonals, in canonical CSR form (sorted indices, no stored
+    zeros, so sigma = 0 stores 2 m_t entries).
     """
     g, w = time_coefficients(sigma, tau, beta)
-    c = time_difference_matrix(m_t)
-    eye = sp.identity(m_t, format="csr")
-    b = sp.bmat([[g * c.T, w * eye], [-w * eye, g * c]], format="csr")
+    if m_t < 1:
+        raise ValueError("m_t must be at least 1")
+    j = np.arange(m_t)
+    k = j[:-1]
+    rows = np.concatenate([j, m_t + j, k, m_t + k + 1, j, m_t + j])
+    cols = np.concatenate([j, m_t + j, k + 1, m_t + k, m_t + j, j])
+    vals = np.repeat([g, g, -g, -g, w, -w], [m_t, m_t, m_t - 1, m_t - 1, m_t, m_t])
+    b = sp.csr_matrix((vals, (rows, cols)), shape=(2 * m_t, 2 * m_t))
     b.eliminate_zeros()
     b.sort_indices()
     return b

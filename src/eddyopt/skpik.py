@@ -361,8 +361,6 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     den = problem.rhs_norm
-    if x1.shape[1] == 0 or x2.shape[1] == 0:
-        return 1.0 if den > 0 else 0.0
     left = np.column_stack([problem.apply_a(x1), x1, -problem.r1])
     right = np.column_stack([x2, problem.b_matrix.T @ x2, problem.r2])
     num = lowrank_norm(LowRankMatrix(left, right))

@@ -1,4 +1,5 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eddyopt import lacore
 from eddyopt.lacore import (
     LowRankMatrix,
     MatrixMarketError,
@@ -402,6 +404,39 @@ def test_lowrank_from_dense_finite_table_with_overflowing_norm_is_the_exact_path
 def test_lowrank_from_dense_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         lowrank_from_dense(np.ones((3, 3)), -1e-3)
+
+
+def _halving_table():
+    """400 x 300 with singular values 0.5^k: at rtol 1e-12 the range finder
+    sketches blocks of width 8, 16 and 32, so its work buffer is reused."""
+    return _planted(np.random.default_rng(7), 400, 300, 0.5 ** np.arange(300))
+
+
+def test_lowrank_from_dense_reuses_its_buffer_and_leaves_the_input_alone():
+    a = _halving_table()
+    before = a.copy()
+    with mock.patch.object(lacore, "mgs_orthonormalize", wraps=mgs_orthonormalize) as spy:
+        out = lowrank_from_dense(a, 1e-12)
+    assert [c.args[0].shape[1] for c in spy.call_args_list] == [8, 16, 32]
+    assert out.rank < 56  # the captured range, not the exact path
+    assert a.tobytes() == before.tobytes()
+    assert not np.shares_memory(out.left, a) and not np.shares_memory(out.right, a)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_lowrank_from_dense_reads_any_layout_as_its_contiguous_copy(layout):
+    a = _halving_table()
+    if layout == "fortran":
+        view = np.asfortranarray(a)
+    else:
+        base = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        base[::2, ::3] = a
+        view = base[::2, ::3]
+    before = view.copy()
+    out = lowrank_from_dense(view, 1e-12)
+    assert _same_factors(out, lowrank_from_dense(a, 1e-12))
+    assert np.array_equal(view, before)
+    assert not np.shares_memory(out.left, view) and not np.shares_memory(out.right, view)
 
 
 @pytest.mark.parametrize("example", ["ex1", "ex2"])

@@ -99,6 +99,41 @@ def test_build_B_sigma_zero_with_shift():
     assert np.array_equal(shifted, expected)
 
 
+def _dense_B(sigma, tau, beta, m_t):
+    g, w = sigma / tau, 1.0 / np.sqrt(beta)
+    c = np.eye(m_t) - np.eye(m_t, k=-1)
+    eye = np.eye(m_t)
+    return np.block([[g * c.T, w * eye], [-w * eye, g * c]])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("m_t", [1, 2, 3, 17])
+def test_build_B_matches_block_form_in_canonical_csr(m_t, sigma):
+    tau, beta = 1.0 / m_t, 1e-2
+    b = build_B(sigma, tau, beta, m_t)
+    assert b.format == "csr"
+    assert b.has_sorted_indices
+    assert np.all(b.data != 0)
+    assert b.nnz == (2 * m_t if sigma == 0 else 6 * m_t - 2)
+    assert np.array_equal(b.toarray(), _dense_B(sigma, tau, beta, m_t))
+
+
+@pytest.mark.parametrize("m_t", [0, -1])
+def test_build_B_rejects_an_empty_time_grid(m_t):
+    with pytest.raises(ValueError, match="m_t must be at least 1"):
+        build_B(1.0, 1.0, 1.0, m_t)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_problem_time_coupling_is_the_shifted_block_form(sigma):
+    ops, config, grid, yd = _small_problem(m_t=3, sigma=sigma, beta=1e-2, shift=0.5)
+    problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, 1e-14))
+    b = problem.b_matrix
+    assert b.format == "csr"
+    expected = _dense_B(sigma, grid.tau, config.beta, grid.m_t) - 0.5 * np.eye(2 * grid.m_t)
+    assert np.array_equal(b.toarray(), expected)
+
+
 # ---------------------------------------------------------------------------
 # right-hand side factors
 

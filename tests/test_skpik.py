@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -112,10 +113,18 @@ def test_init_span_contains_rhs_factor():
 
 
 def test_factored_residual_zero_candidate_is_one():
-    ops, config, grid, yd = _mesh_problem()
-    problem = _problem(ops, config, grid, yd)
-    res = factored_residual(np.zeros((ops.n, 0)), np.zeros((2 * grid.m_t, 0)), problem)
-    assert res == 1.0
+    """A rank-0 candidate leaves R1 R2^T as the residual: exactly 1, or 0 for a zero target.
+
+    The general path stacks (-R1, R2), whose QR factors are those of
+    (R1, R2) up to exact sign flips, so the ratio has no rounding.
+    """
+    cases = itertools.product((2, 8), (3, 50), (1e-4, 1.0, 1e4), (1e-2, 1e-6))
+    for cells, m_t, sigma, beta in cases:
+        ops, config, grid, yd = _mesh_problem(cells=cells, m_t=m_t, sigma=sigma, beta=beta)
+        empty = (np.zeros((ops.n, 0)), np.zeros((2 * grid.m_t, 0)))
+        assert factored_residual(*empty, _problem(ops, config, grid, yd)) == 1.0
+        zero = _problem(ops, config, grid, np.zeros_like(yd))
+        assert factored_residual(*empty, zero) == 0.0
 
 
 def test_factored_residual_exact_solution_is_tiny():
