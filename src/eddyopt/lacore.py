@@ -60,6 +60,8 @@ RANGE_BLOCK = 8
 RANGE_BUDGET_FRACTION = 0.1
 # a range wider than this fraction of min(n, m) is not cheaper than the exact path
 RANGE_CAP_FRACTION = 0.25
+# bytes of the row block in which the range finder takes its residual norm: cache-sized
+RESIDUAL_BLOCK_BYTES = 256 * 1024
 
 
 class LinAlgFailure(RuntimeError):
@@ -220,6 +222,30 @@ def truncate_cores(cores, rtol: float, max_rank: int | None = None) -> LowRankMa
     return LowRankMatrix(ql @ u[:, :k], qr_ @ (vt[:k].T * s[:k]))
 
 
+def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
+    """||A - Q core||_F, summed over row blocks of ``RESIDUAL_BLOCK_BYTES``.
+
+    Each block of Q core is formed in one small buffer and A's rows are
+    subtracted from it in place, so the n-by-m residual is never written.
+    A one-column Q forms its block by an elementwise product, which beats
+    a matmul of inner size one.
+    """
+    n, m = a.shape
+    rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * m))
+    work = np.empty((min(rows, n), m))
+    total = 0.0
+    for lo in range(0, n, rows):
+        blk = work[: min(rows, n - lo)]
+        if q.shape[1] == 1:
+            np.multiply(q[lo : lo + rows], core, out=blk)
+        else:
+            np.matmul(q[lo : lo + rows], core, out=blk)
+        blk -= a[lo : lo + rows]
+        flat = blk.ravel()
+        total += float(flat @ flat)
+    return float(np.sqrt(total))
+
+
 def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     """Compress a dense table to the smallest rank within ``rtol``, at a cost set by its rank.
 
@@ -227,19 +253,20 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     :func:`truncated_svd`, which also supplies the rule.  An adaptive
     randomized range finder (Halko, Martinsson & Tropp 2011, SIAM Rev.
     53) grows an orthonormal Q by Gaussian blocks of doubling width
-    until the explicitly formed E = A - Q Q^T A meets a tenth of the
-    allowed error, or a block deflates to nothing.  Q Q^T A is then
-    truncated with the error budget E leaves over; since E is
-    orthogonal to range(Q) the two errors add in squares.  The Gaussian
-    draws come from a fixed seed, so repeated calls return identical
-    factors.  Every round forms E in place in one n-by-m work buffer,
-    allocated by the first round, so the rounds hold at most one table
-    beyond A, which is only read, and a zero table allocates none.
-    ``rtol = 0``, finite tables whose norm overflows and tables whose
-    range would pass a quarter of min(n, m) columns before meeting the
-    bound take the exact path, ``truncated_svd(LowRankMatrix(a, I),
-    rtol)``.  A NaN or infinite entry raises ValueError naming its
-    (row, column).
+    until the residual E = A - Q Q^T A meets a tenth of the allowed
+    error, or a block deflates to nothing.  Q Q^T A is then truncated
+    with the error budget E leaves over; since E is orthogonal to
+    range(Q) the two errors add in squares.  The Gaussian draws come
+    from a fixed seed, so repeated calls return identical factors.  The
+    norm of E is summed over cache-sized row blocks, so a round that
+    meets the bound writes no table.  Only a round that sketches E forms
+    it explicitly, anew in one n-by-m work buffer allocated by the first
+    such round: the calls hold one table beyond A, which is only read,
+    only when a further round runs.  ``rtol = 0``, finite tables whose
+    norm overflows and tables whose range would pass a quarter of
+    min(n, m) columns before meeting the bound take the exact path,
+    ``truncated_svd(LowRankMatrix(a, I), rtol)``.  A NaN or infinite
+    entry raises ValueError naming its (row, column).
     """
     if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
@@ -262,16 +289,17 @@ def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:
     while resid_norm > RANGE_BUDGET_FRACTION * allowed:
         if q.shape[1] + width > RANGE_CAP_FRACTION * min(n, m):
             break
+        if q.shape[1]:
+            if buf is None:
+                buf = np.empty((n, m))
+            # formed anew each round: a downdated residual drifts at the level checked here
+            resid = np.subtract(a, np.matmul(q, core, out=buf), out=buf)
         block = mgs_orthonormalize(resid @ rng.standard_normal((m, width)), against=q)
         if block.shape[1] == 0:
             break
         q = np.hstack([q, block])
         core = q.T @ a
-        if buf is None:
-            buf = np.empty((n, m))
-        # formed anew each round: a downdated residual drifts at the level checked here
-        resid = np.subtract(a, np.matmul(q, core, out=buf), out=buf)
-        resid_norm = float(np.linalg.norm(resid))
+        resid_norm = _residual_norm(a, q, core)
         width *= 2
     if resid_norm > allowed:  # capped, or deflated short of the bound
         return truncated_svd(LowRankMatrix(a, np.eye(m)), rtol)
@@ -477,12 +505,23 @@ def sparse_lu_factorize(a) -> SparseFactorization:
 
 _BANNER = "%%MatrixMarket"
 
+# entry lines formatted by one % template: a few thousand bound the text held at once
+MM_WRITE_CHUNK = 4096
 
-def _mm_write(path, fmt: str, sizes, entries) -> None:
-    """Write a general real Matrix Market file: banner, size line, then the entry lines."""
+
+def _mm_write(path, fmt: str, sizes, line: str, columns) -> None:
+    """Write a general real Matrix Market file: banner, size line, then the entry lines.
+
+    Entry i is ``line`` filled from item i of each of the 1-D arrays
+    ``columns``.  They are formatted as Python numbers, one % template
+    per chunk of ``MM_WRITE_CHUNK`` entries.
+    """
     with open(path, "w") as fh:
         fh.write(f"{_BANNER} matrix {fmt} real general\n{' '.join(map(str, sizes))}\n")
-        fh.writelines(entries)
+        for lo in range(0, len(columns[0]), MM_WRITE_CHUNK):
+            parts = [col[lo : lo + MM_WRITE_CHUNK].tolist() for col in columns]
+            flat = parts[0] if len(parts) == 1 else [v for entry in zip(*parts) for v in entry]
+            fh.write((line * len(parts[0])) % tuple(flat))
 
 
 def mm_write(path, a) -> None:
@@ -492,8 +531,8 @@ def mm_write(path, a) -> None:
     :func:`mm_read` reproduces them exactly.
     """
     a = sp.coo_matrix(a)
-    entries = (f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(a.row, a.col, a.data))
-    _mm_write(path, "coordinate", (*a.shape, a.nnz), entries)
+    rows, cols = a.row.astype(np.int64) + 1, a.col.astype(np.int64) + 1
+    _mm_write(path, "coordinate", (*a.shape, a.nnz), "%d %d %.16e\n", (rows, cols, a.data))
 
 
 def _mm_fail(lineno: int, msg: str):
@@ -613,7 +652,7 @@ def mm_write_dense(path, a) -> None:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    _mm_write(path, "array", a.shape, (f"{v:.16e}\n" for v in a.reshape(-1, order="F")))
+    _mm_write(path, "array", a.shape, "%.16e\n", (a.reshape(-1, order="F"),))
 
 
 def mm_read_dense(path) -> np.ndarray:

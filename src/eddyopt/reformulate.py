@@ -173,11 +173,13 @@ class SylvesterProblem:
     shift and target range shares one extended Krylov space, which
     ``ops`` keeps.  ``rhs_norm`` is ||R1 R2^T||_F, computed once per
     object; :func:`dataclasses.replace` makes a new object, which computes
-    its own.  No solver uses ``b_lu``, the LU factorization of
-    ``b_matrix``; it stays only because the benchmark's tracer wraps it,
-    until the next change to the benchmark.  The object is immutable in
-    use; the spaces it shares grow as solves ask for them, so solves on
-    one ``ops`` must not run in concurrent threads.
+    its own.  ``b_transpose`` is the CSC view B^T, made once per object
+    so that products with B build no sparse object per call.  No solver
+    uses ``b_lu``, the LU factorization of ``b_matrix``; it is computed
+    on first access only, and stays because the benchmark's tracer wraps
+    it, until the next change to the benchmark.  The object is immutable
+    in use; the spaces it shares grow as solves ask for them, so solves
+    on one ``ops`` must not run in concurrent threads.
     """
 
     n: int
@@ -185,7 +187,6 @@ class SylvesterProblem:
     apply_a: Callable[[np.ndarray], np.ndarray]
     apply_a_inv: Callable[[np.ndarray], np.ndarray]
     b_matrix: sp.csr_matrix
-    b_lu: SparseFactorization
     r1: np.ndarray
     r2: np.ndarray
     shift: float
@@ -198,6 +199,16 @@ class SylvesterProblem:
     def rhs_norm(self) -> float:
         """||R1 R2^T||_F, computed on first use and kept."""
         return lowrank_norm(LowRankMatrix(self.r1, self.r2))
+
+    @cached_property
+    def b_transpose(self) -> sp.csc_matrix:
+        """B^T as the CSC view of ``b_matrix``: B^T v, and z B as (B^T z^T)^T."""
+        return self.b_matrix.T
+
+    @cached_property
+    def b_lu(self) -> SparseFactorization:
+        """The LU factorization of ``b_matrix``, computed on first access."""
+        return sparse_lu_factorize(self.b_matrix)
 
 
 def build_sylvester_problem(
@@ -226,7 +237,6 @@ def build_sylvester_problem(
     b = build_B(config.sigma, grid.tau, config.beta, grid.m_t)
     if shift:
         b = (b - shift * sp.identity(2 * grid.m_t, format="csr")).tocsr()
-    b_lu = sparse_lu_factorize(b)
     r1, r2 = build_rhs(yd_lowrank.left, yd_lowrank.right, config.beta)
     if r1.shape[0] != ops.n:
         raise ValueError(f"target factor has {r1.shape[0]} rows, expected {ops.n}")
@@ -240,7 +250,6 @@ def build_sylvester_problem(
         apply_a=apply_a,
         apply_a_inv=apply_a_inv,
         b_matrix=b,
-        b_lu=b_lu,
         r1=r1,
         r2=r2,
         shift=shift,

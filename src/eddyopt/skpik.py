@@ -362,7 +362,7 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
     x2 = np.asarray(x2, dtype=float)
     den = problem.rhs_norm
     left = np.column_stack([problem.apply_a(x1), x1, -problem.r1])
-    right = np.column_stack([x2, problem.b_matrix.T @ x2, problem.r2])
+    right = np.column_stack([x2, problem.b_transpose @ x2, problem.r2])
     num = lowrank_norm(LowRankMatrix(left, right))
     return num / den if den else num
 
@@ -415,7 +415,7 @@ def _evaluate(state: KpikState, problem: SylvesterProblem, j: int) -> np.ndarray
         r1_proj = state.r1_proj[:dim]
         lam, q = space.eig[i]
         z = q @ state.time_side.solve(lam, (q.T @ (space.m_a[:dim, :dim] @ r1_proj)) @ problem.r2.T)
-        inside = space.t_a(i) @ z + z @ problem.b_matrix - r1_proj @ problem.r2.T
+        inside = space.t_a(i) @ z + (problem.b_transpose @ z.T).T - r1_proj @ problem.r2.T
         res = float(np.hypot(np.linalg.norm(inside), np.linalg.norm(space.r[i] @ z)))
     history = state.residual_history
     history.extend([np.nan] * (j - len(history)))
@@ -511,7 +511,7 @@ def truncation_residuals(
     space, i = state.space, state.prefix
     e = -(state.r1_proj[: space.dims[i]] @ problem.r2.T)
     lead = (space.t_a(i) @ p) * s  # T_a p_j s_j
-    trail = (problem.b_matrix.T @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
+    trail = (problem.b_transpose @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
     outside = np.cumsum((np.linalg.norm(space.r[i] @ p, axis=0) * s) ** 2)
     for j in range(s.size):
         e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])

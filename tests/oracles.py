@@ -156,3 +156,51 @@ def solve_kkt2(m, k, sigma, tau, beta, yd):
     y = unvec(z[: n * m_t], n, m_t)
     lam = np.sqrt(beta) * unvec(z[n * m_t :], n, m_t)
     return y, lam / beta, lam
+
+
+def lowrank_from_dense_full_residual(a, rtol):
+    """The range finder of ``lacore.lowrank_from_dense`` with every round's residual formed in full.
+
+    The loop as it stood before the residual norm was taken from row
+    blocks: each round writes E = A - Q (Q^T A) into one n-by-m buffer
+    and takes one norm of it.  It calls the library's Gram-Schmidt and
+    truncation, so that a comparison checks the loop alone, and expects
+    a finite, nonzero table with ``rtol > 0``.
+    """
+    from eddyopt.lacore import (
+        RANGE_BLOCK,
+        RANGE_BUDGET_FRACTION,
+        RANGE_CAP_FRACTION,
+        LowRankMatrix,
+        mgs_orthonormalize,
+        truncated_svd,
+    )
+
+    a = np.asarray(a, dtype=float)
+    n, m = a.shape
+    norm_a = float(np.linalg.norm(a))
+    allowed = rtol * norm_a
+    rng = np.random.default_rng(0)
+    q = np.zeros((n, 0))
+    resid, resid_norm = a, norm_a
+    buf = None
+    width = RANGE_BLOCK
+    while resid_norm > RANGE_BUDGET_FRACTION * allowed:
+        if q.shape[1] + width > RANGE_CAP_FRACTION * min(n, m):
+            break
+        block = mgs_orthonormalize(resid @ rng.standard_normal((m, width)), against=q)
+        if block.shape[1] == 0:
+            break
+        q = np.hstack([q, block])
+        core = q.T @ a
+        if buf is None:
+            buf = np.empty((n, m))
+        resid = np.subtract(a, np.matmul(q, core, out=buf), out=buf)
+        resid_norm = float(np.linalg.norm(resid))
+        width *= 2
+    if resid_norm > allowed:
+        return truncated_svd(LowRankMatrix(a, np.eye(m)), rtol)
+    if q.shape[1] == 0:
+        return LowRankMatrix.zero(n, m)
+    left_over = np.sqrt((allowed - resid_norm) * (allowed + resid_norm))
+    return truncated_svd(LowRankMatrix(q, core.T), left_over / np.linalg.norm(core))

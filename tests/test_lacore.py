@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,12 @@ from eddyopt.lacore import (
 
 from eddyopt.discretize import TimeGrid, build_mesh, sample_desired_state
 
-from oracles import kron_sylvester_solve, power_eigs_symmetric, quasi_triangular_eigs
+from oracles import (
+    kron_sylvester_solve,
+    lowrank_from_dense_full_residual,
+    power_eigs_symmetric,
+    quasi_triangular_eigs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +443,95 @@ def test_lowrank_from_dense_reads_any_layout_as_its_contiguous_copy(layout):
     assert _same_factors(out, lowrank_from_dense(a, 1e-12))
     assert np.array_equal(view, before)
     assert not np.shares_memory(out.left, view) and not np.shares_memory(out.right, view)
+
+
+def _block_rows(m):
+    """Rows of one block of the range finder's residual norm, for a table of m columns."""
+    return lacore.RESIDUAL_BLOCK_BYTES // (8 * m)
+
+
+def _rank_one_table():
+    """3025 x 400 ex1 target: one round, a one-column range."""
+    return sample_desired_state("ex1", build_mesh(54), TimeGrid(400))
+
+
+def _block_tables():
+    """Tables whose rows end inside the residual norm's first or a later row block.
+
+    The short one is captured by one round, the ragged one by rounds of
+    widths 8, 16 and 32.
+    """
+    rng = np.random.default_rng(5)
+    short = _planted(rng, _block_rows(60) // 2, 60, [1.0, 0.5, 0.25, 0.1, 0.01])
+    ragged = _planted(rng, 2 * _block_rows(240) + 37, 240, 0.5 ** np.arange(240))
+    return {"short": short, "ragged": ragged}
+
+
+def _desk_case(example, cells, m_t):
+    return lambda: sample_desired_state(example, build_mesh(cells), TimeGrid(m_t))
+
+
+_RANGE_CASES = {
+    **{
+        f"{ex}-{cells}-{m_t}": _desk_case(ex, cells, m_t)
+        for ex in ("ex1", "ex2")
+        for cells in (30, 54)
+        for m_t in (100, 200, 400)
+    },
+    "halving": _halving_table,
+    "capped": lambda: np.random.default_rng(9).standard_normal((200, 120)),
+    "short": lambda: _block_tables()["short"],
+    "ragged": lambda: _block_tables()["ragged"],
+    "halving-fortran": lambda: np.asfortranarray(_halving_table()),
+    "halving-strided": lambda: np.repeat(_halving_table(), 2, axis=1)[::3, ::2],
+    "rank-one-fortran": lambda: np.asfortranarray(_rank_one_table()),
+    "rank-one-strided": lambda: np.repeat(_rank_one_table(), 3, axis=0)[::3, ::2],
+}
+
+
+@pytest.mark.parametrize("case", list(_RANGE_CASES))
+def test_lowrank_from_dense_matches_the_loop_that_forms_every_residual(case):
+    a = _RANGE_CASES[case]()
+    before = a.tobytes()
+    out = lowrank_from_dense(a, 1e-10)
+    ref = lowrank_from_dense_full_residual(a, 1e-10)
+    assert out.left.shape == ref.left.shape
+    assert out.left.tobytes() == ref.left.tobytes()
+    assert out.right.tobytes() == ref.right.tobytes()
+    assert a.tobytes() == before
+    assert not np.shares_memory(out.left, a) and not np.shares_memory(out.right, a)
+
+
+def test_lowrank_from_dense_block_cases_end_inside_a_block_and_run_their_rounds():
+    tables = _block_tables()
+    assert tables["short"].shape[0] < _block_rows(60)
+    assert tables["ragged"].shape[0] % _block_rows(240) != 0
+    for name, widths in (("short", [8]), ("ragged", [8, 16, 32])):
+        with mock.patch.object(lacore, "mgs_orthonormalize", wraps=mgs_orthonormalize) as spy:
+            out = lowrank_from_dense(tables[name], 1e-10)
+        assert [c.args[0].shape[1] for c in spy.call_args_list] == widths
+        assert out.rank < sum(widths)  # the captured range, not the exact path
+    rng = np.random.default_rng(13)
+    for a in tables.values():
+        for cols in (1, 6):  # the elementwise and the matmul block
+            q = np.linalg.qr(rng.standard_normal((a.shape[0], cols)))[0]
+            core = q.T @ a
+            full = np.linalg.norm(a - q @ core)
+            assert lacore._residual_norm(a, q, core) == pytest.approx(full, rel=1e-13)
+
+
+def test_lowrank_from_dense_writes_no_table_when_the_first_round_meets_the_bound():
+    a = _rank_one_table()
+    lowrank_from_dense(a, 1e-10)
+    tracemalloc.start()
+    try:
+        out = lowrank_from_dense(a, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.rank == 1
+    # one residual table would be 9.7 MB
+    assert peak - out.left.nbytes - out.right.nbytes < 2 * 2**20
 
 
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
@@ -868,6 +963,46 @@ def test_mm_writers_text(tmp_path):
         "1.0000000000000001e-01\n"
         "2.0000000000000001e-300\n"
     )
+
+
+def _mm_lines_formatted_one_by_one(a, coordinate):
+    """The entry lines as the writers formatted them one numpy scalar at a time."""
+    if coordinate:
+        a = sp.coo_matrix(a)
+        lines = (f"{i + 1} {j + 1} {v:.16e}\n" for i, j, v in zip(a.row, a.col, a.data))
+    else:
+        a = np.asarray(a, dtype=float)
+        lines = (f"{v:.16e}\n" for v in a.reshape(-1, order="F"))
+    return "".join(lines)
+
+
+_SPECIAL_VALUES = np.array(
+    [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     np.inf, -np.inf, np.nan, 1.0, -3.0, 2.0**53, 1e22, 0.1, 1.0 / 3.0]
+)
+
+
+def _mm_writer_cases():
+    rng = np.random.default_rng(23)
+    sparse = sp.random(300, 200, density=0.1, random_state=4, format="coo")
+    sparse.data[: _SPECIAL_VALUES.size] = _SPECIAL_VALUES
+    return {
+        "special": (_SPECIAL_VALUES[:, None], False),
+        "integral": (np.arange(-50.0, 50.0).reshape(20, 5), False),
+        "factor": (rng.standard_normal((3025, 21)), False),
+        "sparse": (sparse, True),
+    }
+
+
+@pytest.mark.parametrize("case", ["special", "integral", "factor", "sparse"])
+def test_mm_writers_format_every_value_as_one_by_one(tmp_path, case):
+    a, coordinate = _mm_writer_cases()[case]
+    path = tmp_path / "a.mtx"
+    (mm_write if coordinate else mm_write_dense)(path, a)
+    body = path.read_text().split("\n", 2)[2]
+    assert body == _mm_lines_formatted_one_by_one(a, coordinate)
+    if case in ("factor", "sparse"):  # several chunks, the last one partial
+        assert body.count("\n") > lacore.MM_WRITE_CHUNK
 
 
 def test_mm_dense_roundtrip(tmp_path):

@@ -34,7 +34,7 @@ from eddyopt.reformulate import (
     unvec,
     vec,
 )
-from eddyopt.skpik import skpik_solve
+from eddyopt.skpik import factored_residual, skpik_solve
 
 from oracles import kron_sylvester_solve, solve_kkt2
 
@@ -434,6 +434,53 @@ def test_problem_rhs_norm_is_computed_once_per_problem(monkeypatch):
     doubled = dataclasses.replace(problem, r2=2.0 * problem.r2)
     assert doubled.rhs_norm == pytest.approx(2.0 * problem.rhs_norm, rel=1e-14)
     assert len(calls) == 2
+
+
+def test_problem_build_and_solves_never_factor_B(monkeypatch):
+    def refuse(_):
+        raise AssertionError("B was factored")
+
+    monkeypatch.setattr(reformulate, "sparse_lu_factorize", refuse)
+    ops, config, grid, yd = _small_problem(cells=3, m_t=4, sigma=1.0, beta=1e-2)
+    yd_lr = lowrank_desired(yd, config.trunc_tol)
+    problem = build_sylvester_problem(ops, config, grid, yd_lr)
+    x, report = skpik_solve(problem, config.tol, config.trunc_tol, config.max_it)
+    assert report.converged
+    assert factored_residual(x.left, x.right, problem) == report.residual
+    _, baseline = lrminres_solve(ops, config, grid, yd_lr)
+    assert baseline.converged
+
+
+def test_problem_factors_B_on_first_access_only(monkeypatch):
+    ops, config, grid, yd = _small_problem(cells=2, m_t=5, sigma=1.0, beta=1e-2, shift=0.5)
+    problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, 1e-12))
+    calls = []
+
+    def counted(b):
+        calls.append(b.shape)
+        return lacore.sparse_lu_factorize(b)
+
+    monkeypatch.setattr(reformulate, "sparse_lu_factorize", counted)
+    rhs = np.random.default_rng(3).standard_normal((2 * grid.m_t, 2))
+    x = problem.b_lu.solve(rhs)
+    assert problem.b_lu.solve(rhs).tobytes() == x.tobytes()
+    assert calls == [(2 * grid.m_t, 2 * grid.m_t)]
+    dense = np.linalg.solve(problem.b_matrix.toarray(), rhs)
+    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 1e4])
+@pytest.mark.parametrize("shift", [None, 0.5])
+def test_problem_B_transpose_products_keep_the_bits_of_B(sigma, shift):
+    ops, config, grid, yd = _small_problem(m_t=7, sigma=sigma, beta=1e-2, shift=shift)
+    problem = build_sylvester_problem(ops, config, grid, lowrank_desired(yd, 1e-12))
+    assert problem.b_transpose is problem.b_transpose
+    rng = np.random.default_rng(11)
+    for rows in (1, 4, 9):
+        z = rng.standard_normal((rows, 2 * grid.m_t))
+        assert (problem.b_transpose @ z.T).T.tobytes() == (z @ problem.b_matrix).tobytes()
+        x = rng.standard_normal((2 * grid.m_t, rows))
+        assert (problem.b_transpose @ x).tobytes() == (problem.b_matrix.T @ x).tobytes()
 
 
 def test_problem_warns_for_tiny_beta():
