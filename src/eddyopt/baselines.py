@@ -13,7 +13,9 @@ Stoll and Wathen.
 Both take their settings (tol, trunc_tol, max_it) from the
 :class:`~eddyopt.discretize.ProblemConfig` only, and report a miss of
 tol in the :class:`~eddyopt.skpik.SolveReport` (``converged`` false, and
-``extra["stop_reason"]``) instead of raising.
+``extra["stop_reason"]``) instead of raising.  lrminres stores its
+certified solution at the smallest rank that the rank rule it shares
+with skpik, :func:`~eddyopt.lacore.certified_truncation`, certifies.
 """
 
 from __future__ import annotations
@@ -29,14 +31,21 @@ from .lacore import (
     LinAlgFailure,
     LowRankMatrix,
     SparseFactorization,
+    certified_truncation,
     factor_cores,
     lowrank_from_dense,
     lowrank_norm,
     truncate_cores,
     truncated_svd,
 )
-from .reformulate import build_B, build_sylvester_problem, time_coefficients, time_difference_matrix
-from .skpik import SolveReport, factored_residual
+from .reformulate import (
+    SylvesterProblem,
+    build_B,
+    build_sylvester_problem,
+    time_coefficients,
+    time_difference_matrix,
+)
+from .skpik import SolveReport, _phase, factored_residual
 
 __all__ = [
     "LowRankVector",
@@ -310,6 +319,64 @@ class _CoupledOperator:
         )
 
 
+def _truncation_residuals(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem) -> list[float]:
+    """Relative residuals of the truncations of x1 x2^T to rank 1, 2, ..., from one QR per side.
+
+    With a_j, b_j the columns of x1, x2 and p the width of R1, the
+    residual of the rank-k truncation is the product of the leading
+    p + 2k columns of the stacks [-R1, A a_1, a_1, A a_2, a_2, ...] and
+    [R2, b_1, B^T b_1, b_2, B^T b_2, ...].  Leading columns of a stack are
+    its Q times the leading columns of its triangular factor, so one QR
+    per stack serves every k: A is applied once, and each rank costs one
+    product of two small triangles.
+    """
+    p, k = problem.r1.shape[1], x1.shape[1]
+    left = np.empty((problem.n, p + 2 * k))
+    right = np.empty((2 * problem.m_t, p + 2 * k))
+    left[:, :p], right[:, :p] = -problem.r1, problem.r2
+    left[:, p::2], left[:, p + 1 :: 2] = problem.apply_a(x1), x1
+    right[:, p::2], right[:, p + 1 :: 2] = x2, problem.b_transpose @ x2
+    cl = np.linalg.qr(left, mode="r")
+    cr = np.linalg.qr(right, mode="r")
+    den = problem.rhs_norm or 1.0
+    return [
+        float(np.linalg.norm(cl[:c, :c] @ cr[:c, :c].T)) / den
+        for c in range(p + 2, p + 2 * k + 1, 2)
+    ]
+
+
+def _compress(
+    xc: LowRankMatrix, res: float, problem: SylvesterProblem, tol: float, phases: dict[str, float]
+) -> tuple[LowRankMatrix, float]:
+    """Truncate the certified candidate xc by :func:`~eddyopt.lacore.certified_truncation`.
+
+    xc is in SVD form already: its left factor is orthonormal and its
+    right columns are v_j s_j.  It is the ``trunc_tol`` truncation of
+    its iterate, so the rule's cap is its whole rank (rule tolerance 0),
+    whose certificate ``res`` is known.  The rule scans the residuals of
+    :func:`_truncation_residuals`, and only the rank it picks is
+    certified anew by :func:`factored_residual`.
+    """
+
+    def certify(k: int) -> tuple[LowRankMatrix, float]:
+        if k == xc.rank:
+            return xc, res
+        x = LowRankMatrix(xc.left[:, :k].copy(), xc.right[:, :k].copy())
+        with _phase(phases, "certify", within="compress"):
+            return x, factored_residual(x.left, x.right, problem)
+
+    with _phase(phases, "compress"):
+        s = np.linalg.norm(xc.right, axis=0)
+        return certified_truncation(
+            s,
+            (xc.right / s).T,
+            tol,
+            0.0,
+            lambda k: _truncation_residuals(xc.left[:, :k], xc.right[:, :k], problem),
+            certify,
+        )
+
+
 def lrminres_solve(
     ops: SpaceOperators,
     config: ProblemConfig,
@@ -323,16 +390,26 @@ def lrminres_solve(
     two-block Schur complement is beta times the three-block one, which
     the scaling below accounts for).  Every iterate is truncated at
     ``config.trunc_tol`` and to at most ``RANK_CAP`` per block.
-    Convergence is certified on the factored residual of the
-    recompressed candidate solution, ``extra["solution"]``; only the
-    best candidate certified is kept.  When no candidate meets
-    ``config.tol`` within ``config.max_it`` iterations, the report has
+    Convergence is certified on the factored residual of the candidate
+    solution, the iterate's two blocks recompressed at ``trunc_tol``;
+    only the best candidate certified is kept.  A candidate that meets
+    ``config.tol`` is stored, as ``extra["solution"]``, at the smallest
+    rank that the rank rule shared with skpik,
+    :func:`~eddyopt.lacore.certified_truncation`, certifies (see
+    :func:`_compress`); the reported residual is that rank's certificate.
+    When no candidate meets ``config.tol`` within ``config.max_it``
+    iterations, the best one is stored as it is, and the report has
     ``converged`` false and ``extra["stop_reason"]`` ``"max_it"`` or
     ``"krylov_exhausted"``.  A zero target stops MINRES at 0 iterations,
     and its rank-0 candidate certifies with absolute residual 0.
+    ``extra["phases"]`` holds the seconds spent in ``precondition``
+    (``apply_prec``: the mass solve, the Schur sweeps and their
+    compression), ``compress`` (the rank rule), ``certify`` (every
+    :func:`factored_residual` call) and ``minres`` (the rest).
     """
     tol, trunc_tol = config.tol, config.trunc_tol
     start = time.perf_counter()
+    phases = dict.fromkeys(("precondition", "compress", "certify", "minres"), 0.0)
     n, m_t = ops.n, grid.m_t
     tau = grid.tau
     problem = build_sylvester_problem(ops, config, grid, yd_lowrank)
@@ -342,12 +419,13 @@ def lrminres_solve(
     beta = config.beta
 
     def apply_prec(z: LowRankVector) -> LowRankVector:
-        top = LowRankMatrix(m_fact.solve(z.yblk.left) / tau, z.yblk.right.copy())
-        if z.lblk.rank == 0:
-            bottom = z.lblk
-        else:
-            bottom = lowrank_from_dense(schur.solve_mat(z.lblk.to_dense()) / beta, trunc_tol)
-        return LowRankVector(top, bottom)
+        with _phase(phases, "precondition"):
+            top = LowRankMatrix(m_fact.solve(z.yblk.left) / tau, z.yblk.right.copy())
+            if z.lblk.rank == 0:
+                bottom = z.lblk
+            else:
+                bottom = lowrank_from_dense(schur.solve_mat(z.lblk.to_dense()) / beta, trunc_tol)
+            return LowRankVector(top, bottom)
 
     rhs = LowRankVector(
         LowRankMatrix(tau * (ops.mass @ yd_lowrank.left), yd_lowrank.right.copy()),
@@ -360,7 +438,8 @@ def lrminres_solve(
         """Certify the recompressed candidate of zx, and keep it if it is the best so far."""
         nonlocal xc, res
         candidate = truncated_svd(LowRankMatrix(*combined_solution_factors(zx)), trunc_tol)
-        candidate_res = factored_residual(candidate.left, candidate.right, problem)
+        with _phase(phases, "certify"):
+            candidate_res = factored_residual(candidate.left, candidate.right, problem)
         if xc is None or candidate_res < res:
             xc, res = candidate, candidate_res
         return candidate_res
@@ -381,16 +460,19 @@ def lrminres_solve(
         certify(z)
     if res <= tol:  # the last candidate can certify after the MINRES estimate missed
         reason = "converged"
+        xc, res = _compress(xc, res, problem, tol, phases)
+    seconds = time.perf_counter() - start
+    phases["minres"] = seconds - sum(phases.values())
     report = SolveReport(
         method="lrminres",
         converged=res <= tol,
         iterations=itn,
         residual=res,
         rank=xc.rank,
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
         residual_history=history,
         absolute_residual=problem.rhs_norm == 0.0,
-        extra={"solution": xc, "stop_reason": reason},
+        extra={"solution": xc, "stop_reason": reason, "phases": phases},
     )
     return z, report
 

@@ -1,13 +1,14 @@
 """Dense and sparse linear-algebra kernels shared by the solvers.
 
 Block Gram-Schmidt with deflation, the one truncation rule and the
-Frobenius norm of factored matrices, rank-adaptive compression of a
-dense table, real Schur form, a dense Sylvester solve, sparse
-factorizations behind one interface, and Matrix Market I/O (one header
-check and one body parser for coordinate and array files).  SPD
-matrices are factored by band Cholesky after a reverse Cuthill-McKee
-ordering, which suits operators of small bandwidth such as those of 2-D
-meshes; the one nonsymmetric matrix, the time coupling B, by SuperLU.
+low-rank solvers' rank rule built on it, the Frobenius norm of factored
+matrices, rank-adaptive compression of a dense table, real Schur form,
+a dense Sylvester solve, sparse factorizations behind one interface,
+and Matrix Market I/O (one header check and one body parser for
+coordinate and array files).  SPD matrices are factored by band
+Cholesky after a reverse Cuthill-McKee ordering, which suits operators
+of small bandwidth such as those of 2-D meshes; the one nonsymmetric
+matrix, the time coupling B, by SuperLU.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -32,6 +34,7 @@ __all__ = [
     "mgs_orthonormalize",
     "lowrank_norm",
     "truncation_rank",
+    "certified_truncation",
     "truncated_svd",
     "factor_cores",
     "truncate_cores",
@@ -185,6 +188,41 @@ def truncation_rank(s: np.ndarray, rtol: float) -> int:
     return int(np.count_nonzero(tail > rtol * tail[0]))
 
 
+def certified_truncation(s, qt, tol: float, trunc_tol: float, residuals, certify):
+    """The one rank rule of the low-rank solvers: the smallest truncation that certifies tol.
+
+    ``s`` and ``qt`` are the singular values and the right singular
+    vectors (as rows) of a candidate X = P diag(s) qt, whose columns are
+    the time axis: the state steps in the first half, the multiplier
+    steps in the second.  The cap k_cap is :func:`truncation_rank` at
+    ``trunc_tol`` on s.  The block rank k_blocks is the larger of the two
+    ranks the same rule keeps at ``tol`` on each half's share
+    s_j ||qt[j, half]|| of the triplets, so the truncation changes the
+    state and the multiplier each by at most tol, relative: the residual
+    alone lets a block much smaller than the other lose all its digits.
+    ``residuals(k_cap)`` yields the relative residuals of the truncations
+    of rank 1, 2, ..., k_cap, and k_min is the first k >= k_blocks whose
+    residual meets tol (k_cap if none does).  ``certify(k)`` returns the
+    rank-k factors and their certified residual.  Rank k_min is
+    certified, and rank k_cap if that certificate fails.  Returns the
+    factors and the residual of the last rank certified.
+    """
+    k_cap = truncation_rank(s, trunc_tol)
+    half = qt.shape[1] // 2
+    k_blocks = max(
+        truncation_rank(s * np.linalg.norm(qt[:, block], axis=1), tol)
+        for block in (slice(0, half), slice(half, 2 * half))
+    )
+    k_min = next(
+        (k for k, res in enumerate(residuals(k_cap), 1) if k >= k_blocks and res <= tol), k_cap
+    )
+    for k in sorted({k_min, k_cap}):
+        x, res = certify(k)
+        if res <= tol:
+            break
+    return x, res
+
+
 def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) -> LowRankMatrix:
     """Recompress a factored matrix to the smallest rank within ``rtol``.
 
@@ -227,8 +265,10 @@ def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
 
     Each block of Q core is formed in one small buffer and A's rows are
     subtracted from it in place, so the n-by-m residual is never written.
-    A one-column Q forms its block by an elementwise product, which beats
-    a matmul of inner size one.
+    For a one-column Q the buffer takes A's rows and one BLAS rank-one
+    update ``dger`` subtracts q core from them, which beats a matmul of
+    inner size one.  The buffer is C-ordered, so its transpose is the
+    column-major m-by-rows matrix that ``dger`` updates in place.
     """
     n, m = a.shape
     rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * m))
@@ -237,10 +277,11 @@ def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
     for lo in range(0, n, rows):
         blk = work[: min(rows, n - lo)]
         if q.shape[1] == 1:
-            np.multiply(q[lo : lo + rows], core, out=blk)
+            np.copyto(blk, a[lo : lo + rows])
+            scipy.linalg.blas.dger(-1.0, core[0], q[lo : lo + rows, 0], a=blk.T, overwrite_a=1)
         else:
             np.matmul(q[lo : lo + rows], core, out=blk)
-        blk -= a[lo : lo + rows]
+            blk -= a[lo : lo + rows]
         flat = blk.ravel()
         total += float(flat @ flat)
     return float(np.sqrt(total))

@@ -28,7 +28,7 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import LowRankMatrix, factor_cores, truncated_svd
+from eddyopt.lacore import LowRankMatrix, factor_cores, truncated_svd, truncation_rank
 from eddyopt.reformulate import (
     assemble_kkt_dense,
     build_sylvester_problem,
@@ -294,6 +294,64 @@ def test_lrminres_favorable_corner_converges_with_truncation():
     z, report = lrminres_solve(ops, config, grid, yd_lr)
     assert report.converged
     assert report.residual <= 1e-6
+
+
+def _minimality_setup():
+    ops, config, grid, yd = _mesh_setup(cells=6, m_t=8, sigma=1.0, beta=1e-2)
+    yd_lr = lowrank_desired(yd, config.trunc_tol)
+    return ops, config, grid, yd_lr, build_sylvester_problem(ops, config, grid, yd_lr)
+
+
+def _capped_solve(monkeypatch, ops, config, grid, yd_lr):
+    """lrminres with its best candidate returned at the trunc_tol rank, uncompressed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_compress", lambda xc, res, *args: (xc, res))
+        return lrminres_solve(ops, config, grid, yd_lr)[1]
+
+
+def test_lrminres_stores_the_smallest_certified_rank(monkeypatch):
+    ops, config, grid, yd_lr, problem = _minimality_setup()
+    tol, m_t = config.tol, grid.m_t
+    _, report = lrminres_solve(ops, config, grid, yd_lr)
+    capped = _capped_solve(monkeypatch, ops, config, grid, yd_lr)
+    x = report.extra["solution"]
+    k = x.rank
+    assert report.converged and report.rank == k
+    assert report.iterations == capped.iterations
+    assert report.residual_history == capped.residual_history
+    assert 1 < k < capped.rank
+    assert report.residual == factored_residual(x.left, x.right, problem) <= tol
+    # the left factor is orthonormal, so the right columns carry s
+    s = np.linalg.norm(x.right, axis=0)
+    qt = (x.right / s).T
+    blocks_ok = all(
+        truncation_rank(s * np.linalg.norm(qt[:, half], axis=1), tol) <= k - 1
+        for half in (slice(0, m_t), slice(m_t, 2 * m_t))
+    )
+    below = factored_residual(x.left[:, : k - 1], x.right[:, : k - 1], problem)
+    assert below > tol or not blocks_ok
+
+
+def test_truncation_residuals_match_factored_residual_of_each_truncation(monkeypatch):
+    ops, config, grid, yd_lr, problem = _minimality_setup()
+    xc = _capped_solve(monkeypatch, ops, config, grid, yd_lr).extra["solution"]
+    assert xc.rank > 5
+    residuals = baselines._truncation_residuals(xc.left, xc.right, problem)
+    assert len(residuals) == xc.rank
+    for k, res in enumerate(residuals, 1):
+        certified = factored_residual(xc.left[:, :k], xc.right[:, :k], problem)
+        # both are relative to ||R1 R2^T||_F
+        assert abs(res - certified) <= 1e-12
+    assert baselines._truncation_residuals(xc.left[:, :0], xc.right[:, :0], problem) == []
+
+
+def test_lrminres_report_phases_cover_the_solve():
+    ops, config, grid, yd_lr, _ = _minimality_setup()
+    _, report = lrminres_solve(ops, config, grid, yd_lr)
+    phases = report.extra["phases"]
+    assert tuple(phases) == ("precondition", "compress", "certify", "minres")
+    assert all(v > 0.0 for v in phases.values())
+    assert sum(phases.values()) == pytest.approx(report.seconds, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

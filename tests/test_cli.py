@@ -99,7 +99,8 @@ def test_solve_lrminres_factors_reproduce_reported_residual(tmp_path):
     assert code == 0
     row = json.loads(out.read_text())
     assert row["coupled_residual"] is None
-    assert row["phases"] is None
+    assert set(row["phases"]) == {"precondition", "compress", "certify", "minres"}
+    assert all(v >= 0.0 for v in row["phases"].values())
     assert row["residual_history"] is None
     x1 = mm_read_dense(tmp_path / "lr.X1.mtx")
     x2 = mm_read_dense(tmp_path / "lr.X2.mtx")

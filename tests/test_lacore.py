@@ -16,6 +16,7 @@ from eddyopt.lacore import (
     NotSpdError,
     SingularMatrixError,
     SylvesterConditionError,
+    certified_truncation,
     lowrank_from_dense,
     mgs_orthonormalize,
     mm_read,
@@ -272,6 +273,55 @@ def test_truncation_rank_rejects_nan_tolerance():
     # a NaN rtol would keep rank 0: every comparison with it is false
     with pytest.raises(ValueError):
         truncation_rank(np.ones(3), np.nan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(0, 8),
+    m_t=st.integers(1, 6),
+    tol=st.sampled_from([1e-6, 1e-3, 0.3]),
+    trunc_tol=st.sampled_from([0.0, 1e-8, 1e-2]),
+    honest=st.booleans(),
+)
+def test_certified_truncation_property(seed, rank, m_t, tol, trunc_tol, honest):
+    # a random SVD-form candidate P diag(s) qt on 2 m_t time columns, with a
+    # synthetic residual per rank; an honest certificate repeats that
+    # residual, a dishonest one fails every rank but the cap
+    rng = np.random.default_rng(seed)
+    rank = min(rank, 2 * m_t)
+    p = np.linalg.qr(rng.standard_normal((12, rank)))[0]
+    qt = np.linalg.qr(rng.standard_normal((2 * m_t, rank)))[0].T
+    s = np.sort(10.0 ** rng.uniform(-9.0, 0.0, rank))[::-1]
+    table = 10.0 ** rng.uniform(-8.0, 0.0, rank)
+    k_cap = truncation_rank(s, trunc_tol)
+    k_blocks = max(
+        truncation_rank(s * np.linalg.norm(qt[:, half], axis=1), tol)
+        for half in (slice(0, m_t), slice(m_t, 2 * m_t))
+    )
+    asked, certified = [], []
+
+    def residuals(k):
+        asked.append(k)
+        return iter(table[:k])
+
+    def certify(k):
+        res = table[k - 1] if k else 1.0
+        if not honest and k != k_cap:
+            res = 2.0 * tol
+        certified.append((k, res))
+        return LowRankMatrix(p[:, :k], qt[:k].T * s[:k]), res
+
+    x, res = certified_truncation(s, qt, tol, trunc_tol, residuals, certify)
+    k = x.rank
+    assert asked == [k_cap]
+    assert k <= k_cap and len(certified) <= 2 and certified[-1] == (k, res)
+    if not honest:
+        assert k == k_cap
+    elif res <= tol:
+        assert k >= min(k_blocks, k_cap)
+        # every rank from the block rank up to k - 1 misses tol
+        assert all(table[j - 1] > tol for j in range(max(1, k_blocks), k))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ repr of its residual and a hash of its outputs, which are
 * cli-file: each solve's JSON without ``seconds`` and ``phases``, the
   bytes of its X1/X2 files, and the sweep CSV without ``seconds``.
 
-A last line per workload hashes all of its lines.  ``diff`` of the
+A last line per workload hashes all of its lines and gives its
+``rank_total``, the sum of the ranks its points return.  ``diff`` of the
 output of two trees lists every output that moved.  The working files
 of cli-file go to a temporary directory, removed at the end.
 """
@@ -111,7 +112,9 @@ def main(argv=None) -> int:
             lines = list(DIGESTS[name](workload, records))
             for line in lines:
                 print(f"{name} | {line}")
-            print(f"{name} | all {len(lines)} lines | {_hash(*lines)}", flush=True)
+            rank_total = sum(r["rank"] or 0 for r in records)
+            print(f"{name} | all {len(lines)} lines | {_hash(*lines)} | rank_total {rank_total}",
+                  flush=True)
     return 0
 
 
