@@ -47,7 +47,6 @@ from .reformulate import (
     assemble_kkt_dense,
     assemble_kkt_dense3,
     build_B,
-    build_a_ops,
     build_rhs,
     build_sylvester_problem,
     extract_solution,

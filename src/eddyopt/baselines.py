@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
@@ -85,8 +86,6 @@ class LowRankVector:
 
 
 def _block_inner(a: LowRankMatrix, b: LowRankMatrix) -> float:
-    if a.rank == 0 or b.rank == 0:
-        return 0.0
     return float(np.sum((a.left.T @ b.left) * (a.right.T @ b.right)))
 
 
@@ -108,8 +107,6 @@ def _block_axpy(
     combined = LowRankMatrix(
         np.hstack([x.left, y.left]), np.hstack([x.right, alpha * y.right])
     )
-    if combined.rank == 0:
-        return combined
     cores = factor_cores(combined)
     _, cl, _, cr = cores
     k = x.rank
@@ -140,13 +137,8 @@ def _lr_scale(x: LowRankVector, c: float) -> LowRankVector:
 
 def combined_solution_factors(z: LowRankVector) -> tuple[np.ndarray, np.ndarray]:
     """Stack the two blocks into factors of the n-by-2m_t solution matrix."""
-    k1, k2 = z.yblk.rank, z.lblk.rank
-    m_t = z.yblk.right.shape[0]
     x1 = np.hstack([z.yblk.left, z.lblk.left])
-    x2 = np.zeros((2 * m_t, k1 + k2))
-    x2[:m_t, :k1] = z.yblk.right
-    x2[m_t:, k1:] = z.lblk.right
-    return x1, x2
+    return x1, scipy.linalg.block_diag(z.yblk.right, z.lblk.right)
 
 
 # ---------------------------------------------------------------------------
@@ -162,41 +154,39 @@ class SchurHatApprox:
     -sigma*M below it.  D = tau*F with F = K + (g + w)*M, (g, w) from
     :func:`~eddyopt.reformulate.time_coefficients`; the object holds the
     factorization of F and applies the inverse exactly by two
-    substitution sweeps with it.
+    substitution sweeps with it.  It serves any number of time slices:
+    a block of k slices gets the approximation of k steps.
     """
 
     mass: sp.csr_matrix
     factor: SparseFactorization
     g: float
     tau: float
-    m_t: int
 
     def solve_mat(self, v: np.ndarray) -> np.ndarray:
-        """Apply the inverse to an n-by-m_t block of time slices."""
+        """Apply the inverse to an n-by-k block of k time slices."""
         v = np.asarray(v, dtype=float)
-        if v.shape[1] != self.m_t:
-            raise ValueError(f"expected {self.m_t} time slices, got {v.shape[1]}")
         w = np.empty_like(v)
         w[:, 0] = self.factor.solve(v[:, 0])
-        for j in range(1, self.m_t):
+        for j in range(1, v.shape[1]):
             w[:, j] = self.factor.solve(v[:, j] + self.g * (self.mass @ w[:, j - 1]))
         u = self.mass @ w
         z = np.empty_like(v)
         z[:, -1] = self.factor.solve(u[:, -1])
-        for j in range(self.m_t - 2, -1, -1):
+        for j in range(v.shape[1] - 2, -1, -1):
             z[:, j] = self.factor.solve(u[:, j] + self.g * (self.mass @ z[:, j + 1]))
         return z / self.tau
 
     def solve_vec(self, v: np.ndarray) -> np.ndarray:
         n = self.mass.shape[0]
-        mat = np.asarray(v, dtype=float).reshape((n, self.m_t), order="F")
+        mat = np.asarray(v, dtype=float).reshape((n, -1), order="F")
         return self.solve_mat(mat).reshape(-1, order="F")
 
 
 def build_schur_hat(ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid) -> SchurHatApprox:
     """The approximation at this point, on the factorization of K + (g + w)*M that ``ops`` keeps."""
     g, w = time_coefficients(config.sigma, grid.tau, config.beta)
-    return SchurHatApprox(ops.mass, ops.shifted_factor(g + w), g, grid.tau, grid.m_t)
+    return SchurHatApprox(ops.mass, ops.shifted_factor(g + w), g, grid.tau)
 
 
 def apply_schur_hat_inv(
@@ -526,9 +516,12 @@ def fminres_solve(
     [Y | Lambda/sqrt(beta)] on the coupled Sylvester equation
     A X + X B = R1 R2^T.  A step with a zero right-hand side stops
     MINRES at 0 iterations with the zero vector, so a zero target gives
-    zero trajectories and 0 iterations per step.
+    zero trajectories and 0 iterations per step.  ``extra["phases"]``
+    holds the seconds spent in ``precondition`` (``apply_prec``: the mass
+    solves and the one-step Schur sweeps) and ``minres`` (the rest).
     """
     start = time.perf_counter()
+    phases = dict.fromkeys(("precondition", "minres"), 0.0)
     yd = np.asarray(yd, dtype=float)
     n, m_t = ops.n, grid.m_t
     if yd.shape != (n, m_t):
@@ -547,15 +540,15 @@ def fminres_solve(
         format="csr",
     )
     m_fact = ops.mass_factor
-    g, w = time_coefficients(sigma, tau, beta)
-    schur = SchurHatApprox(mass, ops.shifted_factor(g + w), g, tau, 1)
+    schur = build_schur_hat(ops, config, grid)
 
     def apply_prec(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[:n] = m_fact.solve(v[:n]) / tau
-        out[n : 2 * n] = m_fact.solve(v[n : 2 * n]) / (tau * beta)
-        out[2 * n :] = schur.solve_vec(v[2 * n :])
-        return out
+        with _phase(phases, "precondition"):
+            out = np.empty_like(v)
+            out[:n] = m_fact.solve(v[:n]) / tau
+            out[n : 2 * n] = m_fact.solve(v[n : 2 * n]) / (tau * beta)
+            out[2 * n :] = schur.solve_vec(v[2 * n :])
+            return out
 
     y_traj = np.zeros((n, m_t))
     u_traj = np.zeros((n, m_t))
@@ -589,13 +582,15 @@ def fminres_solve(
     coupled = _coupled_residual(
         ops, config, grid, yd, np.hstack([y_traj, lam_traj / np.sqrt(beta)])
     )
+    seconds = time.perf_counter() - start
+    phases["minres"] = seconds - phases["precondition"]
     report = SolveReport(
         method="fminres",
         converged=reason == "converged",
         iterations=float(np.mean(counts)) if counts else 0.0,
         residual=float(np.max(final_res)) if final_res else 0.0,
         rank=0,
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
         residual_history=final_res,
         extra={
             "stop_reason": reason,
@@ -603,6 +598,7 @@ def fminres_solve(
             "step_iterations": counts,
             "control": u_traj,
             "multiplier": lam_traj,
+            "phases": phases,
         },
     )
     return y_traj, report

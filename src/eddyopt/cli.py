@@ -44,7 +44,7 @@ from .reformulate import (
     unvec,
     vec,
 )
-from .skpik import factored_residual, skpik_solve
+from .skpik import skpik_solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1

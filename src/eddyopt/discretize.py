@@ -17,7 +17,13 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .lacore import LowRankMatrix, SparseFactorization, lowrank_from_dense, sparse_spd_factorize
+from .lacore import (
+    LowRankMatrix,
+    NotSpdError,
+    SparseFactorization,
+    lowrank_from_dense,
+    sparse_spd_factorize,
+)
 
 __all__ = [
     "Mesh2D",
@@ -162,11 +168,17 @@ class SpaceOperators:
         return value
 
     def shifted_factor(self, shift: float) -> SparseFactorization:
-        """The factorization of K + shift*M; raises NotSpdError if it is not SPD."""
+        """The factorization of K + shift*M; NotSpdError says why it failed and what to change."""
 
         def factorize():
             shifted = self.stiffness if shift == 0 else (self.stiffness + shift * self.mass).tocsr()
-            return sparse_spd_factorize(shifted)
+            try:
+                return sparse_spd_factorize(shifted)
+            except NotSpdError as exc:
+                raise NotSpdError(
+                    f"stiffness plus shift*mass cannot be factored ({exc}); check the "
+                    "imported matrices, or increase the shift or the elliptic regularization"
+                ) from exc
 
         return self.cached(("shifted factor", shift), factorize)
 
@@ -184,16 +196,12 @@ def build_mesh(cells_per_side: int) -> Mesh2D:
     grid_x, grid_y = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([grid_x.ravel(), grid_y.ravel()])
 
-    tris = []
-    for j in range(cells_per_side):
-        for i in range(cells_per_side):
-            v00 = j * nside + i
-            v10 = v00 + 1
-            v01 = v00 + nside
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh2D(nodes, np.array(tris, dtype=np.int64), np.sqrt(2.0) / cells_per_side)
+    # cell (i, j) has lower-left node j*nside + i and is split along its diagonal
+    v00 = ((np.arange(cells_per_side) * nside)[:, None] + np.arange(cells_per_side)).ravel()
+    v10, v01 = v00 + 1, v00 + nside
+    v11 = v01 + 1
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh2D(nodes, tris, np.sqrt(2.0) / cells_per_side)
 
 
 def _element_geometry(mesh: Mesh2D):

@@ -3,12 +3,15 @@
 Block Gram-Schmidt with deflation, the one truncation rule and the
 low-rank solvers' rank rule built on it, the Frobenius norm of factored
 matrices, rank-adaptive compression of a dense table, real Schur form,
-a dense Sylvester solve, sparse factorizations behind one interface,
-and Matrix Market I/O (one header check and one body parser for
-coordinate and array files).  SPD matrices are factored by band
-Cholesky after a reverse Cuthill-McKee ordering, which suits operators
-of small bandwidth such as those of 2-D meshes; the one nonsymmetric
-matrix, the time coupling B, by SuperLU.
+a dense Sylvester solve (Bartels-Stewart by LAPACK ``trsyl``; a refused
+pair is named by the eigenvalues of numpy's ``eigvals``), sparse
+factorizations behind one interface, and Matrix Market I/O (one header
+check and one body parser for coordinate and array files).  Rank-zero
+factors (n x 0) take the general paths: numpy's QR and SVD and the
+sparse solves return empty or zero results on them.  SPD matrices are
+factored by band Cholesky after a reverse Cuthill-McKee ordering, which
+suits operators of small bandwidth such as those of 2-D meshes; the one
+nonsymmetric matrix, the time coupling B, by SuperLU.
 """
 
 from __future__ import annotations
@@ -164,8 +167,6 @@ def mgs_orthonormalize(block, against=None):
 
 def lowrank_norm(x: LowRankMatrix) -> float:
     """Frobenius norm of the represented matrix, computed from the factors."""
-    if x.rank == 0:
-        return 0.0
     c1 = np.linalg.qr(x.left, mode="r")
     c2 = np.linalg.qr(x.right, mode="r")
     return float(np.linalg.norm(c1 @ c2.T))
@@ -233,8 +234,6 @@ def truncated_svd(x: LowRankMatrix, rtol: float, max_rank: int | None = None) ->
     """
     if rtol < 0:
         raise ValueError("truncation tolerance must be nonnegative")
-    if x.rank == 0:
-        return x
     return truncate_cores(factor_cores(x), rtol, max_rank)
 
 
@@ -368,40 +367,15 @@ def real_schur(a):
     return q, t
 
 
-def _quasi_triangular_eigenvalues(t):
-    """Eigenvalues read off the 1x1 / 2x2 diagonal blocks of a Schur factor."""
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    eigs = []
-    i = 0
-    while i < n:
-        if i == n - 1 or t[i + 1, i] == 0.0:
-            eigs.append(complex(t[i, i]))
-            i += 1
-        else:
-            tr = t[i, i] + t[i + 1, i + 1]
-            det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
-            root = np.sqrt(complex(tr * tr / 4.0 - det))
-            eigs.append(tr / 2.0 + root)
-            eigs.append(tr / 2.0 - root)
-            i += 2
-    return np.array(eigs)
-
-
-def _nearest_eigen_collision(ra, rb):
-    la_ = _quasi_triangular_eigenvalues(ra)
-    lb = _quasi_triangular_eigenvalues(rb)
+def _collision_error(ra, rb, detail):
+    """The error naming the eigenvalues of the Schur factors ra, rb whose sum is nearest 0."""
+    la_, lb = np.linalg.eigvals(ra), np.linalg.eigvals(rb)
     gap = np.abs(la_[:, None] + lb[None, :])
     i, j = np.unravel_index(np.argmin(gap), gap.shape)
-    return la_[i], lb[j], gap[i, j]
-
-
-def _collision_error(ra, rb, detail):
-    lam_a, lam_b, gap = _nearest_eigen_collision(ra, rb)
     return SylvesterConditionError(
-        f"singular Sylvester pair: eigenvalue {lam_a:.6g} of the left "
-        f"coefficient nearly cancels eigenvalue {lam_b:.6g} of the right "
-        f"one (gap {gap:.3e}); {detail}"
+        f"singular Sylvester pair: eigenvalue {la_[i]:.6g} of the left "
+        f"coefficient nearly cancels eigenvalue {lb[j]:.6g} of the right "
+        f"one (gap {gap[i, j]:.3e}); {detail}"
     )
 
 
@@ -479,8 +453,6 @@ class SparseFactorization:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {self.n}")
-        if b.ndim == 2 and b.shape[1] == 0:
-            return np.zeros_like(b)
         return self._factor.solve(b, trans=trans)
 
 

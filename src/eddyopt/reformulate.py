@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +26,6 @@ import scipy.sparse as sp
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
 from .lacore import (
     LowRankMatrix,
-    NotSpdError,
     SparseFactorization,
     lowrank_norm,
     mgs_orthonormalize,
@@ -41,7 +39,6 @@ __all__ = [
     "time_coefficients",
     "build_B",
     "build_rhs",
-    "build_a_ops",
     "build_sylvester_problem",
     "assemble_kkt_dense",
     "assemble_kkt_dense3",
@@ -127,65 +124,31 @@ def build_rhs(y1: np.ndarray, y2: np.ndarray, beta: float) -> tuple[np.ndarray, 
     return r1, r2
 
 
-def build_a_ops(
-    ops: SpaceOperators, shift: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Factorized apply / inverse-apply closures for the space operator.
-
-    The forward map is v -> M^{-1}(K + shift*M) v evaluated through the
-    mass factorization; the inverse map is v -> (K + shift*M)^{-1} M v.
-    Both use the factorizations that ``ops`` owns.
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    m_fact = ops.mass_factor
-    try:
-        k_fact = ops.shifted_factor(shift)
-    except NotSpdError as exc:
-        raise NotSpdError(
-            f"stiffness plus shift*mass cannot be factored ({exc}); check the "
-            "imported matrices, or increase the shift or the elliptic regularization"
-        ) from exc
-    stiffness = ops.stiffness
-    mass = ops.mass
-
-    def apply_a(v):
-        out = m_fact.solve(stiffness @ v)
-        return out + shift * v if shift else out
-
-    def apply_a_inv(v):
-        return k_fact.solve(mass @ v)
-
-    return apply_a, apply_a_inv
-
-
 @dataclass
 class SylvesterProblem:
     """Shifted operator form of A X + X B = R1 R2^T.
 
-    ``apply_a`` and ``apply_a_inv`` realize the (already shifted) space
-    operator and its inverse through the factorizations that the
-    :class:`SpaceOperators` own.  ``b_matrix`` is the shifted time
-    coupling B - shift*I, and ``g`` = sigma/tau and ``w`` = 1/sqrt(beta)
-    are the coefficients it was built from.  ``seed`` is the orthonormal
-    basis ``mgs_orthonormalize(Y1)`` of the range of R1 = Y1/sqrt(beta):
-    it does not depend on beta, so every problem on ``ops`` with the same
-    shift and target range shares one extended Krylov space, which
-    ``ops`` keeps.  ``rhs_norm`` is ||R1 R2^T||_F, computed once per
-    object; :func:`dataclasses.replace` makes a new object, which computes
-    its own.  ``b_transpose`` is the CSC view B^T, made once per object
-    so that products with B build no sparse object per call.  No solver
-    uses ``b_lu``, the LU factorization of ``b_matrix``; it is computed
-    on first access only, and stays because the benchmark's tracer wraps
-    it, until the next change to the benchmark.  The object is immutable
-    in use; the spaces it shares grow as solves ask for them, so solves
-    on one ``ops`` must not run in concurrent threads.
+    The methods ``apply_a`` and ``apply_a_inv`` apply the shifted space
+    operator M^{-1}(K + shift*M) and its inverse over the factors of
+    ``ops``.  ``b_matrix`` is the shifted time coupling B - shift*I, and
+    ``g`` = sigma/tau and ``w`` = 1/sqrt(beta) are the coefficients it was
+    built from.  ``seed`` is the orthonormal basis ``mgs_orthonormalize(Y1)``
+    of the range of R1 = Y1/sqrt(beta): it does not depend on beta, so
+    every problem on ``ops`` with the same shift and target range shares
+    one extended Krylov space, which ``ops`` keeps.  ``rhs_norm`` is
+    ||R1 R2^T||_F, computed once per object; :func:`dataclasses.replace`
+    makes a new object, which computes its own.  ``b_transpose`` is the
+    CSC view B^T, made once per object so that products with B build no
+    sparse object per call.  No solver uses ``b_lu``, the LU factorization
+    of ``b_matrix``; it is computed on first access only, and stays
+    because the benchmark's tracer wraps it, until the next change to the
+    benchmark.  The object is immutable in use; the spaces it shares grow
+    as solves ask for them, so solves on one ``ops`` must not run in
+    concurrent threads.
     """
 
     n: int
     m_t: int
-    apply_a: Callable[[np.ndarray], np.ndarray]
-    apply_a_inv: Callable[[np.ndarray], np.ndarray]
     b_matrix: sp.csr_matrix
     r1: np.ndarray
     r2: np.ndarray
@@ -194,6 +157,15 @@ class SylvesterProblem:
     w: float
     ops: SpaceOperators
     seed: np.ndarray
+
+    def apply_a(self, v: np.ndarray) -> np.ndarray:
+        """M^{-1}(K + shift*M) v."""
+        out = self.ops.mass_factor.solve(self.ops.stiffness @ v)
+        return out + self.shift * v if self.shift else out
+
+    def apply_a_inv(self, v: np.ndarray) -> np.ndarray:
+        """(K + shift*M)^{-1} M v."""
+        return self.ops.shifted_factor(self.shift).solve(self.ops.mass @ v)
 
     @cached_property
     def rhs_norm(self) -> float:
@@ -220,8 +192,10 @@ def build_sylvester_problem(
     """Assemble the shifted Sylvester problem for the given data.
 
     The shift follows the config (explicit value, or zero when the
-    stiffness is already positive definite).  Small control costs are
-    flagged because the column scaling degenerates as beta -> 0.
+    stiffness is already positive definite).  M and K + shift*M are
+    factored here, so an operator that is not SPD fails before a solve.
+    Small control costs are flagged because the column scaling
+    degenerates as beta -> 0.
     """
     if config.beta < 1e-12:
         import warnings
@@ -232,7 +206,8 @@ def build_sylvester_problem(
             stacklevel=2,
         )
     shift = config.resolve_shift()
-    apply_a, apply_a_inv = build_a_ops(ops, shift)
+    ops.mass_factor
+    ops.shifted_factor(shift)
     g, w = time_coefficients(config.sigma, grid.tau, config.beta)
     b = build_B(config.sigma, grid.tau, config.beta, grid.m_t)
     if shift:
@@ -247,8 +222,6 @@ def build_sylvester_problem(
     return SylvesterProblem(
         n=ops.n,
         m_t=grid.m_t,
-        apply_a=apply_a,
-        apply_a_inv=apply_a_inv,
         b_matrix=b,
         r1=r1,
         r2=r2,

@@ -10,6 +10,7 @@ import eddyopt.baselines as baselines
 from eddyopt.baselines import (
     LowRankVector,
     _block_axpy,
+    _block_inner,
     apply_schur_hat_inv,
     build_schur_hat,
     combined_solution_factors,
@@ -28,7 +29,14 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import LowRankMatrix, factor_cores, truncated_svd, truncation_rank
+from eddyopt.lacore import (
+    LowRankMatrix,
+    factor_cores,
+    sparse_lu_factorize,
+    sparse_spd_factorize,
+    truncated_svd,
+    truncation_rank,
+)
 from eddyopt.reformulate import (
     assemble_kkt_dense,
     build_sylvester_problem,
@@ -87,6 +95,19 @@ def test_schur_hat_matches_dense_oracle(m_t, cells, sigma, beta):
     oracle = np.linalg.solve(shat, v)
     tol = 1e-12 if m_t == 1 else 1e-10
     assert np.linalg.norm(fast - oracle) <= tol * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_schur_hat_serves_any_number_of_slices(k):
+    # built at m_t = 4, applied to k slices: the approximation of k steps
+    ops, config, grid, _ = _mesh_setup(cells=2, m_t=4, sigma=2.0, beta=1e-3)
+    shat = dense_schur_hat(
+        ops.mass.toarray(), ops.stiffness.toarray(), config.sigma, grid.tau, config.beta, k
+    )
+    v = np.random.default_rng(5).standard_normal((ops.n, k))
+    out = build_schur_hat(ops, config, grid).solve_mat(v)
+    oracle = np.linalg.solve(shat, vec(v)).reshape((ops.n, k), order="F")
+    assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 def test_schur_hat_apply_then_inverse_roundtrip():
@@ -355,6 +376,62 @@ def test_lrminres_report_phases_cover_the_solve():
 
 
 # ---------------------------------------------------------------------------
+# rank zero through the general paths
+
+_EMPTY = LowRankMatrix.zero(6, 4)
+_X = LowRankMatrix(np.arange(12.0).reshape(6, 2), np.arange(1.0, 9.0).reshape(4, 2))
+_SPD = sp.diags(np.arange(1.0, 7.0), format="csr")
+
+
+def _factors(x):
+    return [x.left, x.right]
+
+
+@pytest.mark.parametrize(
+    "compute,expected",
+    [
+        pytest.param(lambda: [lowrank_norm(_EMPTY)], [0.0], id="lowrank_norm"),
+        pytest.param(
+            lambda: _factors(truncated_svd(_EMPTY, 1e-10)), _factors(_EMPTY), id="truncated_svd"
+        ),
+        pytest.param(
+            lambda: [_block_inner(_EMPTY, _X), _block_inner(_X, _EMPTY)], [0.0, 0.0],
+            id="block_inner",
+        ),
+        pytest.param(
+            lambda: _factors(_block_axpy(_EMPTY, _EMPTY, 2.0, 1e-10, 10)), _factors(_EMPTY),
+            id="block_axpy",
+        ),
+        pytest.param(
+            lambda: [sparse_spd_factorize(_SPD).solve(np.zeros((6, 0)))], [np.zeros((6, 0))],
+            id="cholesky_solve",
+        ),
+        pytest.param(
+            lambda: [sparse_lu_factorize(_SPD).solve(np.zeros((6, 0)))], [np.zeros((6, 0))],
+            id="lu_solve",
+        ),
+        pytest.param(
+            lambda: list(combined_solution_factors(LowRankVector(_X, _EMPTY))),
+            [_X.left, np.vstack([_X.right, np.zeros((4, 2))])],
+            id="combined_empty_multiplier",
+        ),
+        pytest.param(
+            lambda: list(combined_solution_factors(LowRankVector(_EMPTY, _X))),
+            [_X.left, np.vstack([np.zeros((4, 2)), _X.right])],
+            id="combined_empty_state",
+        ),
+    ],
+)
+def test_rank_zero_inputs_take_the_general_paths(compute, expected):
+    got = compute()
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert np.shape(value) == np.shape(want)
+        assert np.asarray(value).dtype == np.float64
+        np.testing.assert_array_equal(value, want)
+
+
+# ---------------------------------------------------------------------------
 # sequential per-step MINRES
 
 
@@ -384,6 +461,15 @@ def test_fminres_reports_a_missed_step_instead_of_raising():
     assert np.linalg.norm(y[:, 0]) > 0.0
     assert not y[:, 1:].any() and not report.extra["multiplier"][:, 1:].any()
     assert np.isfinite(report.extra["coupled_residual"])
+
+
+def test_fminres_report_phases_cover_the_solve():
+    ops, config, grid, yd = _mesh_setup(cells=3, m_t=3, sigma=1.0, beta=1e-2)
+    _, report = fminres_solve(ops, config, grid, yd)
+    phases = report.extra["phases"]
+    assert tuple(phases) == ("precondition", "minres")
+    assert all(v > 0.0 for v in phases.values())
+    assert sum(phases.values()) == pytest.approx(report.seconds, rel=1e-9)
 
 
 def test_fminres_zero_target_zero_trajectory():

@@ -186,7 +186,8 @@ def test_solve_fminres_matches_skpik_at_single_step(tmp_path):
     assert row["stop_reason"] == "converged"
     # one time step is the coupled problem, so the per-step solve certifies it
     assert row["coupled_residual"] <= 1e-8
-    assert row["phases"] is None
+    assert set(row["phases"]) == {"precondition", "minres"}
+    assert all(v >= 0.0 for v in row["phases"].values())
     assert row["residual_history"] is None
     x1 = mm_read_dense(tmp_path / "a.X1.mtx")
     x2 = mm_read_dense(tmp_path / "a.X2.mtx")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eddyopt import discretize
 from eddyopt.discretize import (
@@ -13,7 +14,7 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt.lacore import sparse_spd_factorize
+from eddyopt.lacore import NotSpdError, sparse_spd_factorize
 
 from oracles import mass_matrix_quadrature
 
@@ -40,6 +41,34 @@ def test_mesh_counts_two_cells():
     assert mesh.n_nodes == 9
     assert mesh.triangles.shape == (8, 3)
     assert mesh.h == pytest.approx(np.sqrt(2.0) / 2.0)
+
+
+def _cell_loop_triangles(cells):
+    """The cell-by-cell construction of the mesh's triangles, kept as the reference."""
+    nside = cells + 1
+    tris = []
+    for j in range(cells):
+        for i in range(cells):
+            v00 = j * nside + i
+            v11 = v00 + nside + 1
+            tris += [(v00, v00 + 1, v11), (v00, v11, v00 + nside)]
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 7, 30, 54])
+def test_mesh_triangles_match_the_cell_loop(cells):
+    triangles = build_mesh(cells).triangles
+    assert triangles.dtype == np.int64
+    np.testing.assert_array_equal(triangles, _cell_loop_triangles(cells))
+
+
+def test_mesh_two_cells_triangles():
+    # row by row, each cell split along its diagonal, lower-right triangle first
+    expected = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
+    triangles = build_mesh(2).triangles
+    assert triangles.dtype == np.int64
+    np.testing.assert_array_equal(triangles, np.array(expected))
 
 
 @pytest.mark.parametrize("cells", [1, 3, 7])
@@ -295,3 +324,13 @@ def test_shifted_factors_are_evicted_least_recently_used(monkeypatch):
     np.testing.assert_array_equal(ops.shifted_factor(0.5).solve(rhs), first)
     assert len(calls) == 102
     assert len(ops._store) == CACHE_ENTRIES
+
+
+def test_shifted_factor_of_an_indefinite_stiffness_says_what_to_change():
+    eye = sp.identity(4, format="csr")
+    ops = SpaceOperators(eye, -eye)
+    with pytest.raises(NotSpdError) as err:
+        ops.shifted_factor(0.0)
+    assert "shift" in str(err.value)
+    # the kernel's own reason survives the re-raise
+    assert "the pivot of row" in str(err.value)

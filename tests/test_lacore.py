@@ -670,6 +670,14 @@ def test_sylvester_detects_spectral_collision():
     assert "eigenvalue" in str(err.value)
 
 
+def test_sylvester_collision_message_names_the_pair_and_gap():
+    with pytest.raises(SylvesterConditionError) as err:
+        solve_sylvester_dense(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
+    msg = str(err.value)
+    assert "eigenvalue 1 of the left coefficient" in msg
+    assert "eigenvalue -1 of the right one (gap 0.000e+00)" in msg
+
+
 def test_sylvester_random_sweep_against_oracle():
     rng = np.random.default_rng(12)
     for _ in range(25):

@@ -24,7 +24,6 @@ from eddyopt.reformulate import (
     assemble_kkt_dense,
     assemble_kkt_dense3,
     build_B,
-    build_a_ops,
     build_rhs,
     build_sylvester_problem,
     extract_solution,
@@ -165,11 +164,19 @@ def test_build_rhs_reconstruction_oracle():
 
 
 # ---------------------------------------------------------------------------
-# operator closures
+# the space operator A and its inverse
+
+
+def _problem_on(ops, shift):
+    """The Sylvester problem on ``ops`` with this shift, one time step and a rank-one target."""
+    target = LowRankMatrix(np.ones((ops.n, 1)), np.ones((1, 1)))
+    config = ProblemConfig(sigma=1.0, beta=1.0, shift=shift)
+    return build_sylvester_problem(ops, config, TimeGrid(1), target)
 
 
 def test_a_ops_identity():
-    apply_a, apply_a_inv = build_a_ops(_identity_ops(4), 0.0)
+    problem = _problem_on(_identity_ops(4), 0.0)
+    apply_a, apply_a_inv = problem.apply_a, problem.apply_a_inv
     v = np.arange(4.0)
     assert np.allclose(apply_a(v), v)
     assert np.allclose(apply_a_inv(v), v)
@@ -177,7 +184,8 @@ def test_a_ops_identity():
 
 def test_a_ops_scalar_shift():
     ops = SpaceOperators(sp.csr_matrix(2.0 * np.eye(3)), sp.csr_matrix(4.0 * np.eye(3)))
-    apply_a, apply_a_inv = build_a_ops(ops, 1.0)
+    problem = _problem_on(ops, 1.0)
+    apply_a, apply_a_inv = problem.apply_a, problem.apply_a_inv
     v = np.array([1.0, -2.0, 0.5])
     assert np.allclose(apply_a(v), 3.0 * v)
     assert np.allclose(apply_a_inv(v), v / 3.0)
@@ -185,7 +193,8 @@ def test_a_ops_scalar_shift():
 
 def test_a_ops_composition_on_p1_operators():
     ops, config, grid, _ = _small_problem(cells=4)
-    apply_a, apply_a_inv = build_a_ops(ops, 0.5)
+    problem = _problem_on(ops, 0.5)
+    apply_a, apply_a_inv = problem.apply_a, problem.apply_a_inv
     rng = np.random.default_rng(6)
     v = rng.standard_normal(ops.n)
     assert np.linalg.norm(apply_a_inv(apply_a(v)) - v) <= 1e-12 * np.linalg.norm(v)
@@ -200,7 +209,7 @@ def test_a_ops_rejects_indefinite_shifted_stiffness():
     n = 4
     ops = SpaceOperators(sp.identity(n, format="csr"), sp.csr_matrix(-np.eye(n)))
     with pytest.raises(NotSpdError) as err:
-        build_a_ops(ops, 0.0)
+        _problem_on(ops, 0.0)
     assert "shift" in str(err.value)
     # the kernel's own reason survives the re-raise
     assert "the pivot of row" in str(err.value)
