@@ -186,7 +186,7 @@ class SchurHatApprox:
 def build_schur_hat(ops: SpaceOperators, config: ProblemConfig, grid: TimeGrid) -> SchurHatApprox:
     """The approximation at this point, on the factorization of K + (g + w)*M that ``ops`` keeps."""
     g, w = time_coefficients(config.sigma, grid.tau, config.beta)
-    return SchurHatApprox(ops.mass, ops.shifted_factor(g + w), g, grid.tau)
+    return SchurHatApprox(ops.mass, ops.shifted_factor(g + w, "(g + w)"), g, grid.tau)
 
 
 def apply_schur_hat_inv(

@@ -195,21 +195,22 @@ def _load_source(args, config: ProblemConfig):
     return ops, grid, yd
 
 
-def _solve_point(method: str, ops, config, grid, yd, yd_lr):
+def _solve_point(method: str, ops, config, grid, target):
     """Dispatch one solve; returns (row dict, factors-or-None, trajectory-or-None).
 
-    ``yd_lr`` is ``yd`` compressed at ``config.trunc_tol``; fminres reads only ``yd``.
+    ``target`` is the dense desired state for fminres and, for the
+    low-rank methods, its compression at ``config.trunc_tol``.
     """
     started = time.perf_counter()
     factors = traj = None
     if method == "skpik":
-        problem = build_sylvester_problem(ops, config, grid, yd_lr)
+        problem = build_sylvester_problem(ops, config, grid, target)
         factors, report = skpik_solve(problem, config.tol, config.trunc_tol, config.max_it)
     elif method == "lrminres":
-        _, report = lrminres_solve(ops, config, grid, yd_lr)
+        _, report = lrminres_solve(ops, config, grid, target)
         factors = report.extra["solution"]
     elif method == "fminres":
-        traj, report = fminres_solve(ops, config, grid, yd)
+        traj, report = fminres_solve(ops, config, grid, target)
     else:
         raise UsageError(f"unknown method {method!r}")
     row = {
@@ -242,9 +243,10 @@ def cmd_solve(args) -> int:
     if args.matrices is not None and args.nu != ProblemConfig.nu:
         print(f"note: --nu {NU_NOTE}", file=sys.stderr)
     config = _make_config(args)
-    ops, grid, yd = _load_source(args, config)
-    yd_lr = None if args.method == "fminres" else lowrank_desired(yd, config.trunc_tol)
-    row, factors, traj = _solve_point(args.method, ops, config, grid, yd, yd_lr)
+    ops, grid, target = _load_source(args, config)
+    if args.method != "fminres":  # the dense table is dropped once compressed
+        target = lowrank_desired(target, config.trunc_tol)
+    row, factors, traj = _solve_point(args.method, ops, config, grid, target)
     text = json.dumps(row, indent=2)
     if args.out:
         out = Path(args.out)
@@ -406,7 +408,8 @@ def _run_sweep_group(points: list) -> list[tuple[list, str | None]]:
             config = _make_config(args)
             if yd_lr is None and args.method != "fminres":
                 yd_lr = lowrank_desired(yd, config.trunc_tol)
-            record, _, _ = _solve_point(args.method, ops, config, grid, yd, yd_lr)
+            target = yd if args.method == "fminres" else yd_lr
+            record, _, _ = _solve_point(args.method, ops, config, grid, target)
         except failures as exc:
             results.append(_failed_point(args, exc))
         else:

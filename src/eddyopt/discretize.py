@@ -167,17 +167,24 @@ class SpaceOperators:
             store.popitem(last=False)
         return value
 
-    def shifted_factor(self, shift: float) -> SparseFactorization:
-        """The factorization of K + shift*M; NotSpdError says why it failed and what to change."""
+    def shifted_factor(self, shift: float, coefficient: str = "shift") -> SparseFactorization:
+        """The factorization of K + shift*M; NotSpdError says why it failed and what to change.
+
+        ``coefficient`` names ``shift`` in the message: the problem's own
+        shift by default, which the advice may tell to increase, or the
+        caller's term for it, such as the "(g + w)" of the Schur factor.
+        """
 
         def factorize():
             shifted = self.stiffness if shift == 0 else (self.stiffness + shift * self.mass).tocsr()
             try:
                 return sparse_spd_factorize(shifted)
             except NotSpdError as exc:
+                remedy = "the shift or " if coefficient == "shift" else ""
                 raise NotSpdError(
-                    f"stiffness plus shift*mass cannot be factored ({exc}); check the "
-                    "imported matrices, or increase the shift or the elliptic regularization"
+                    f"stiffness plus {coefficient}*mass cannot be factored at {coefficient} = "
+                    f"{shift:g} ({exc}); check the imported matrices, or increase "
+                    f"{remedy}the elliptic regularization"
                 ) from exc
 
         return self.cached(("shifted factor", shift), factorize)

@@ -2,8 +2,10 @@
 
 Block Gram-Schmidt with deflation, the one truncation rule and the
 low-rank solvers' rank rule built on it, the Frobenius norm of factored
-matrices, rank-adaptive compression of a dense table, real Schur form,
-a dense Sylvester solve (Bartels-Stewart by LAPACK ``trsyl``; a refused
+matrices, the norm and the triangular factor of a tall residual
+A - Q core walked by row blocks, rank-adaptive compression of a dense
+table, real Schur form, a dense Sylvester solve (Bartels-Stewart by
+LAPACK ``trsyl``; a refused
 pair is named by the eigenvalues of numpy's ``eigvals``), sparse
 factorizations behind one interface, and Matrix Market I/O (one header
 check and one body parser for coordinate and array files).  Rank-zero
@@ -41,6 +43,7 @@ __all__ = [
     "truncated_svd",
     "factor_cores",
     "truncate_cores",
+    "residual_factor",
     "lowrank_from_dense",
     "real_schur",
     "solve_sylvester_dense",
@@ -68,6 +71,10 @@ RANGE_BUDGET_FRACTION = 0.1
 RANGE_CAP_FRACTION = 0.25
 # bytes of the row block in which the range finder takes its residual norm: cache-sized
 RESIDUAL_BLOCK_BYTES = 256 * 1024
+# rows of the block in which residual_factor factors a taller table: about five times
+# the widest prefix a cli-file solve reaches (198 columns), so the stacked triangles
+# add about 2 dim / (3 QR_BLOCK_ROWS) = 13 % to the flops of one QR there
+QR_BLOCK_ROWS = 1024
 
 
 class LinAlgFailure(RuntimeError):
@@ -259,20 +266,22 @@ def truncate_cores(cores, rtol: float, max_rank: int | None = None) -> LowRankMa
     return LowRankMatrix(ql @ u[:, :k], qr_ @ (vt[:k].T * s[:k]))
 
 
-def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
-    """||A - Q core||_F, summed over row blocks of ``RESIDUAL_BLOCK_BYTES``.
+def _residual_blocks(a: np.ndarray, q: np.ndarray, core: np.ndarray):
+    """Yield (lo, block): the rows lo, lo + 1, ... of A - Q core, ``RESIDUAL_BLOCK_BYTES`` at a time.
 
-    Each block of Q core is formed in one small buffer and A's rows are
-    subtracted from it in place, so the n-by-m residual is never written.
-    For a one-column Q the buffer takes A's rows and one BLAS rank-one
-    update ``dger`` subtracts q core from them, which beats a matmul of
-    inner size one.  The buffer is C-ordered, so its transpose is the
-    column-major m-by-rows matrix that ``dger`` updates in place.
+    Each block is formed in one small C-ordered buffer, which the next
+    block overwrites, so the n-by-m residual is never written.  A block
+    is formed as ``a - q @ core`` forms the whole, a C-ordered product
+    less A's rows, so it rounds as that does, up to the last bits that
+    the product's row partition moves.  For a one-column Q the buffer
+    takes A's rows and one BLAS rank-one update ``dger`` subtracts
+    q core from them, which beats a matmul of inner size one; the
+    buffer's transpose is the column-major m-by-rows matrix that
+    ``dger`` updates in place.
     """
     n, m = a.shape
     rows = max(1, RESIDUAL_BLOCK_BYTES // (8 * m))
     work = np.empty((min(rows, n), m))
-    total = 0.0
     for lo in range(0, n, rows):
         blk = work[: min(rows, n - lo)]
         if q.shape[1] == 1:
@@ -280,10 +289,63 @@ def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
             scipy.linalg.blas.dger(-1.0, core[0], q[lo : lo + rows, 0], a=blk.T, overwrite_a=1)
         else:
             np.matmul(q[lo : lo + rows], core, out=blk)
-            blk -= a[lo : lo + rows]
+            np.subtract(a[lo : lo + rows], blk, out=blk)
+        yield lo, blk
+
+
+def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
+    """||A - Q core||_F, summed over the row blocks of :func:`_residual_blocks`."""
+    total = 0.0
+    for _, blk in _residual_blocks(a, q, core):
         flat = blk.ravel()
         total += float(flat @ flat)
     return float(np.sqrt(total))
+
+
+def residual_factor(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """The square triangular factor R of the QR of A - Q core, by row blocks.
+
+    A table of at most ``QR_BLOCK_ROWS`` rows takes one ``np.linalg.qr``
+    of A - Q core.  A taller one is factored two-level, as a tall-skinny
+    QR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34):
+    each block of ``QR_BLOCK_ROWS`` rows is gathered from
+    :func:`_residual_blocks` into one column-major buffer and factored
+    there in place, and the triangles of the blocks, stacked, are
+    factored once more.  The result is the R of one QR up to the signs of
+    its rows, so R^T R and ||R z|| are those of A - Q core.  One block,
+    one buffer of ``_residual_blocks`` and the stack are held, never the
+    n-by-m residual.
+    """
+    n, m = a.shape
+    rows = QR_BLOCK_ROWS
+    if n <= rows:
+        return np.linalg.qr(a - q @ core, mode="r")
+    starts = range(0, n, rows)
+    work = np.empty(rows * m)
+    stack = np.empty((sum(min(rows, n - lo, m) for lo in starts), m), order="F")
+    top = 0
+    for lo in starts:
+        blk = work[: min(rows, n - lo) * m].reshape((-1, m), order="F")
+        r = _r_in_place(_gather_residual(blk, a[lo : lo + rows], q[lo : lo + rows], core))
+        stack[top : top + len(r)] = r
+        top += len(r)
+    return _r_in_place(stack)
+
+
+def _gather_residual(out: np.ndarray, a: np.ndarray, q: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Write A - Q core into ``out`` from the row blocks of :func:`_residual_blocks`.
+
+    A function of its own, so that the generator's buffer is released
+    on return, before the next block allocates its own.
+    """
+    for lo, blk in _residual_blocks(a, q, core):
+        out[lo : lo + len(blk)] = blk
+    return out
+
+
+def _r_in_place(a: np.ndarray) -> np.ndarray:
+    """The R, min(rows, columns) high, of a column-major ``a``, which LAPACK overwrites."""
+    return scipy.linalg.qr(a, overwrite_a=True, mode="raw", check_finite=False)[1]
 
 
 def lowrank_from_dense(a, rtol: float) -> LowRankMatrix:

@@ -41,6 +41,7 @@ from .lacore import (
     certified_truncation,
     lowrank_norm,
     mgs_orthonormalize,
+    residual_factor,
 )
 from .reformulate import SylvesterProblem
 
@@ -108,8 +109,9 @@ class ExtendedSpace:
     and one block column per extension, so a prefix's matrices are their
     leading blocks (:meth:`t_a`).  ``eig[j]``, the eigenvalues and
     M_a-orthonormal eigenvectors of the pencil (K_a, M_a), and ``r[j]``,
-    the triangular factor of (I - U U^T) A U on prefix j, are filled in
-    when a sweep first runs on the prefix (see :meth:`prefix`).
+    a square triangular factor of (I - U U^T) A U on prefix j (its R up
+    to row signs, so ||r z|| is the norm of that block times z), are
+    filled in when a sweep first runs on the prefix (see :meth:`prefix`).
     Each is computed from the prefix's columns alone, once, so a prefix
     is the same however far the space has grown since and whichever
     solve first ran on it.  A depends on
@@ -213,8 +215,12 @@ class ExtendedSpace:
 
         Grows the space as :meth:`grow` does.  The first request for a
         prefix computes the eigenpairs of its (K_a, M_a), charged to
-        ``project``, and the QR of its (I - U U^T) A U, charged to
-        ``residual``; later requests, from any solve, reuse them.
+        ``project``, and the triangular factor of its (I - U U^T) A U,
+        charged to ``residual``; later requests, from any solve, reuse
+        them.  The factor comes from
+        :func:`~eddyopt.lacore.residual_factor`: one QR of the table on
+        at most ``QR_BLOCK_ROWS`` nodes, else a QR by row blocks that
+        never forms the n-by-dim table.
         """
         i = self.grow(j, problem, phases)
         if i not in self.eig:
@@ -222,8 +228,7 @@ class ExtendedSpace:
             with _phase(phases, "project"):
                 self.eig[i] = scipy.linalg.eigh(self.k_a[:dim, :dim], self.m_a[:dim, :dim])
             with _phase(phases, "residual"):
-                u, a_u = self.basis[:, :dim], self.image[:, :dim]
-                self.r[i] = np.linalg.qr(a_u - u @ self.t_a(i), mode="r")
+                self.r[i] = residual_factor(self.image[:, :dim], self.basis[:, :dim], self.t_a(i))
         return i
 
 
@@ -309,8 +314,9 @@ class KpikState:
     solver; and the solution z of the projected equation, so that the
     iterate is X = U z.  With T_a and r the space's for the prefix, and
     R1 in range(U), the residual of any U z' is
-    U (T_a z' + z' B - (U^T R1) R2^T) plus a part of norm ||r z'||_F
-    orthogonal to U.  The state sits on sweep ``sweeps``.  The history of
+    U (T_a z' + z' B - (U^T R1) R2^T) plus the part
+    (I - U U^T) A U z' orthogonal to U, whose norm is ||r z'||_F: r is
+    its triangular factor, whichever way it was computed.  The state sits on sweep ``sweeps``.  The history of
     projected residuals, relative to the problem's ``rhs_norm``, holds
     entry j for sweep j, NaN where no sweep j ran; the seconds spent per
     phase sit next to it.

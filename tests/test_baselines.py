@@ -31,6 +31,7 @@ from eddyopt.discretize import (
 )
 from eddyopt.lacore import (
     LowRankMatrix,
+    NotSpdError,
     factor_cores,
     sparse_lu_factorize,
     sparse_spd_factorize,
@@ -570,3 +571,22 @@ def test_fminres_per_step_saddle_symmetric():
         ]
     ).toarray()
     assert np.allclose(a_step, a_step.T)
+
+
+def test_schur_factor_failure_names_its_coefficient_without_the_shift_advice():
+    # K + 100 M is SPD, so the problem builds; the Schur factor K + (g + w) M
+    # at g + w = 0 + 1/sqrt(1) is not, and the shift does not set g + w
+    n, m_t = 4, 3
+    eye = sp.identity(n, format="csr")
+    ops = SpaceOperators(eye, -10.0 * eye)
+    config = ProblemConfig(sigma=0.0, beta=1.0, shift=100.0)
+    grid = TimeGrid(m_t)
+    target = LowRankMatrix(np.ones((n, 1)), np.ones((m_t, 1)))
+    problem = build_sylvester_problem(ops, config, grid, target)
+    assert problem.shift == 100.0
+    with pytest.raises(NotSpdError) as err:
+        lrminres_solve(ops, config, grid, target)
+    message = str(err.value)
+    assert "stiffness plus (g + w)*mass" in message and "(g + w) = 1 " in message
+    assert "the pivot of row" in message
+    assert "shift" not in message

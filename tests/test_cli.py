@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,38 @@ def test_solve_with_imported_matrices_matches_mesh_path(tmp_path):
     imported = cli._load_imported_operators(str(opsdir), config)
     assert np.array_equal(imported.mass.toarray(), built.mass.toarray())
     assert np.array_equal(imported.stiffness.toarray(), built.stiffness.toarray())
+
+
+@pytest.mark.parametrize("method", ["skpik", "lrminres", "fminres"])
+def test_solve_drops_the_loaded_table_once_compressed(tmp_path, monkeypatch, method):
+    # the low-rank methods solve with no live reference to the dense table;
+    # fminres is handed the table itself
+    opsdir = tmp_path / "ops"
+    run_cli("generate", "--mesh", "4", "--out", str(opsdir))
+    yd_file = tmp_path / "yd.txt"
+    np.savetxt(yd_file, sample_desired_state("ex1", build_mesh(4), TimeGrid(3)))
+    loaded, seen = [], []
+    loadtxt, solve_point = np.loadtxt, cli._solve_point
+
+    def load(source, *args, **kwargs):  # the Matrix Market reader calls it too
+        table = loadtxt(source, *args, **kwargs)
+        if source == str(yd_file):
+            loaded.append(weakref.ref(table))
+        return table
+
+    def solve(*args):
+        table = loaded[0]()
+        seen.append((table is None, any(arg is table for arg in args)))
+        return solve_point(*args)
+
+    monkeypatch.setattr(np, "loadtxt", load)
+    monkeypatch.setattr(cli, "_solve_point", solve)
+    assert run_cli(
+        "solve", "--method", method, "--matrices", str(opsdir), "--mT", "3", "--sigma", "1",
+        "--beta", "1e-2", "--example", "file", "--yd-file", str(yd_file),
+        "--out", str(tmp_path / "out.json"),
+    ) == 0
+    assert seen == ([(False, True)] if method == "fminres" else [(True, False)]), seen
 
 
 def test_solve_ignores_nu_with_imported_matrices(tmp_path, capsys):

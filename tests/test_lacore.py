@@ -24,6 +24,7 @@ from eddyopt.lacore import (
     mm_write,
     mm_write_dense,
     real_schur,
+    residual_factor,
     solve_sylvester_dense,
     sparse_lu_factorize,
     sparse_spd_factorize,
@@ -1133,3 +1134,28 @@ def test_mm_property_dense_roundtrip_is_exact(tmp_path_factory, dense):
     back = mm_read_dense(path)
     assert back.shape == dense.shape
     assert np.array_equal(back, dense)
+
+
+@pytest.mark.parametrize(
+    "n, m, rows",
+    [
+        (25, 6, 7),  # 4 blocks, the last of 4 rows
+        (25, 12, 7),  # wider than a block has rows
+        (30, 5, 10),  # 3 full blocks
+        (6, 6, 2),  # square, every block wider than its rows
+    ],
+)
+def test_residual_factor_by_row_blocks_matches_one_qr(monkeypatch, n, m, rows):
+    rng = np.random.default_rng(n + m)
+    q = np.asfortranarray(np.linalg.qr(rng.standard_normal((n, m)))[0])
+    a = np.asfortranarray(rng.standard_normal((n, m)))
+    core = rng.standard_normal((m + 3, m + 3))[:m, :m]  # a leading block, as skpik passes
+    rest = a - q @ core
+    monkeypatch.setattr(lacore, "QR_BLOCK_ROWS", rows)
+    r = residual_factor(a, q, core)
+    assert r.shape == (m, m)
+    assert np.array_equal(r, np.triu(r))
+    np.testing.assert_allclose(r.T @ r, rest.T @ rest, rtol=0, atol=1e-12 * np.sum(rest * rest))
+    # one block: the single QR of the whole residual, bit for bit
+    monkeypatch.setattr(lacore, "QR_BLOCK_ROWS", n)
+    assert np.array_equal(residual_factor(a, q, core), np.linalg.qr(rest, mode="r"))

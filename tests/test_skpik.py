@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from eddyopt.discretize import (
     lowrank_desired,
     sample_desired_state,
 )
-from eddyopt import skpik
+from eddyopt import lacore, skpik
 from eddyopt.lacore import (
     LowRankMatrix,
     StagnationError,
@@ -224,6 +225,35 @@ def test_recorded_history_matches_dense_residual(cells, m_t, sigma, beta):
         x = state.basis @ state.z
         dense = np.linalg.norm(a_dense @ x + x @ b_dense - r_dense) / np.linalg.norm(r_dense)
         assert abs(state.residual_history[-1] - dense) <= 1e-13
+
+
+def _row_block_factors(monkeypatch, rows):
+    """Make the residual QR take blocks of ``rows`` rows; returns the (n, dim) of each call."""
+    calls = []
+
+    def spy(a, q, core):
+        calls.append(a.shape)
+        return lacore.residual_factor(a, q, core)
+
+    monkeypatch.setattr(lacore, "QR_BLOCK_ROWS", rows)
+    monkeypatch.setattr(skpik, "residual_factor", spy)
+    return calls
+
+
+def _spans_partial_blocks_and_a_wide_prefix(calls, rows):
+    n = calls[0][0]
+    return n > 2 * rows and n % rows and max(dim for _, dim in calls) > rows
+
+
+@pytest.mark.parametrize(
+    "cells, m_t, sigma, beta", [(3, 3, 0.5, 0.01), (4, 5, 1e-4, 1e-6), (5, 4, 1e4, 1e-3)]
+)
+def test_recorded_history_matches_dense_residual_on_row_blocks(monkeypatch, cells, m_t, sigma, beta):
+    # n = 16, 25 and 36 rows in blocks of 7, the last one partial, and
+    # prefixes wider than a block
+    calls = _row_block_factors(monkeypatch, 7)
+    test_recorded_history_matches_dense_residual(cells, m_t, sigma, beta)
+    assert _spans_partial_blocks_and_a_wide_prefix(calls, 7), calls
 
 
 def test_sweep_galerkin_orthogonality_and_nesting():
@@ -503,6 +533,35 @@ def test_extended_basis_grows_in_place():
         for mat, mat_last in zip(mats, last):
             assert np.array_equal(mat, mat_last[:dim, :dim])
         assert np.array_equal(r1_proj, r1_last[:dim])
+
+
+def test_extended_basis_grows_in_place_on_row_blocks(monkeypatch):
+    # n = 25 rows in blocks of 7, 7, 7 and 4, with prefixes wider than a block
+    calls = _row_block_factors(monkeypatch, 7)
+    test_extended_basis_grows_in_place()
+    assert _spans_partial_blocks_and_a_wide_prefix(calls, 7), calls
+
+
+def test_prefix_residual_factor_holds_one_row_block():
+    # the residual QR of a prefix holds one block of QR_BLOCK_ROWS rows and the
+    # stacked triangles, not the n x dim table (I - U U^T) A U and its copies
+    ops, config, grid, yd = _mesh_problem(cells=100, m_t=4, sigma=1.0, beta=1e-2)
+    problem = _problem(ops, config, grid, yd)
+    state = skpik_init(problem)
+    space = state.space
+    j = 0
+    while space.dims[space.grow(j, problem, state.phases)] < 40:
+        j += 1
+    n, dim = ops.n, space.dims[j]  # 10201 rows: ten blocks of at most 1024
+    assert n >= 961
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        space.prefix(j, problem, state.phases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= n * dim * 8 / 3
 
 
 # ---------------------------------------------------------------------------

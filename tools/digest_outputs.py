@@ -1,6 +1,6 @@
 """Print a digest of every output of the benchmark's workloads, to compare two trees.
 
-    python3 tools/digest_outputs.py [--workload NAME ...] [--seed 31] > digest.txt
+    python3 tools/digest_outputs.py [--workload NAME ...] [--seed 31] [--histories] > digest.txt
 
 Run from the root of a checkout: eddyopt is imported from its ``src/``
 and the workloads from its ``perfbench/``, which are only read.  Each
@@ -17,8 +17,13 @@ repr of its residual and a hash of its outputs, which are
 
 A last line per workload hashes all of its lines and gives its
 ``rank_total``, the sum of the ranks its points return.  ``diff`` of the
-output of two trees lists every output that moved.  The working files
-of cli-file go to a temporary directory, removed at the end.
+output of two trees lists every output that moved.  With
+``--histories`` each skpik solve of desk-skpik and cli-file (the sweep's
+points included) then prints its projected-residual history on a line
+of its own, in call order: the reprs of its entries, ``nan`` for a
+sweep the search skipped.  These lines are not hashed, so a diff of two
+trees lists every history entry that moved.  The working files of
+cli-file go to a temporary directory, removed at the end.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+import eddyopt.cli as CLI  # noqa: E402
 import eddyopt.discretize as D  # noqa: E402
+import eddyopt.skpik as SK  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -98,12 +105,33 @@ def cli_file(workload, records):
 DIGESTS = {"desk-skpik": desk_skpik, "baselines-961": baselines_961, "cli-file": cli_file}
 
 
+def record_histories() -> list[str]:
+    """Make every skpik_solve, the CLI's included, append a line with its history to the list."""
+    lines = []
+    solve = SK.skpik_solve
+
+    def recorded(problem, *args, **kwargs):
+        x, report = solve(problem, *args, **kwargs)
+        entries = " ".join(repr(h) for h in report.residual_history)
+        lines.append(
+            f"history {len(lines)} n={problem.n} mT={problem.m_t} "
+            f"g={float(problem.g)!r} w={float(problem.w)!r} | {entries}"
+        )
+        return x, report
+
+    SK.skpik_solve = CLI.skpik_solve = recorded
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=list(DIGESTS),
                     help="a workload to digest (repeatable; default all)")
     ap.add_argument("--seed", type=int, default=31, help="the workload seed (default 31)")
+    ap.add_argument("--histories", action="store_true",
+                    help="also print each skpik solve's projected-residual history")
     args = ap.parse_args(argv)
+    histories = record_histories() if args.histories else []
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload or list(DIGESTS):
             workload = WORKLOADS[name](args.seed, Path(tmp) / name)
@@ -115,6 +143,9 @@ def main(argv=None) -> int:
             rank_total = sum(r["rank"] or 0 for r in records)
             print(f"{name} | all {len(lines)} lines | {_hash(*lines)} | rank_total {rank_total}",
                   flush=True)
+            for line in histories:
+                print(f"{name} | {line}", flush=True)
+            histories.clear()
     return 0
 
 
