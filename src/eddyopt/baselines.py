@@ -46,7 +46,7 @@ from .reformulate import (
     time_coefficients,
     time_difference_matrix,
 )
-from .skpik import SolveReport, _phase, factored_residual
+from .skpik import SolveReport, _phase, factored_residual, stack_residuals
 
 __all__ = [
     "LowRankVector",
@@ -309,32 +309,6 @@ class _CoupledOperator:
         )
 
 
-def _truncation_residuals(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem) -> list[float]:
-    """Relative residuals of the truncations of x1 x2^T to rank 1, 2, ..., from one QR per side.
-
-    With a_j, b_j the columns of x1, x2 and p the width of R1, the
-    residual of the rank-k truncation is the product of the leading
-    p + 2k columns of the stacks [-R1, A a_1, a_1, A a_2, a_2, ...] and
-    [R2, b_1, B^T b_1, b_2, B^T b_2, ...].  Leading columns of a stack are
-    its Q times the leading columns of its triangular factor, so one QR
-    per stack serves every k: A is applied once, and each rank costs one
-    product of two small triangles.
-    """
-    p, k = problem.r1.shape[1], x1.shape[1]
-    left = np.empty((problem.n, p + 2 * k))
-    right = np.empty((2 * problem.m_t, p + 2 * k))
-    left[:, :p], right[:, :p] = -problem.r1, problem.r2
-    left[:, p::2], left[:, p + 1 :: 2] = problem.apply_a(x1), x1
-    right[:, p::2], right[:, p + 1 :: 2] = x2, problem.b_transpose @ x2
-    cl = np.linalg.qr(left, mode="r")
-    cr = np.linalg.qr(right, mode="r")
-    den = problem.rhs_norm or 1.0
-    return [
-        float(np.linalg.norm(cl[:c, :c] @ cr[:c, :c].T)) / den
-        for c in range(p + 2, p + 2 * k + 1, 2)
-    ]
-
-
 def _compress(
     xc: LowRankMatrix, res: float, problem: SylvesterProblem, tol: float, phases: dict[str, float]
 ) -> tuple[LowRankMatrix, float]:
@@ -344,8 +318,9 @@ def _compress(
     right columns are v_j s_j.  It is the ``trunc_tol`` truncation of
     its iterate, so the rule's cap is its whole rank (rule tolerance 0),
     whose certificate ``res`` is known.  The rule scans the residuals of
-    :func:`_truncation_residuals`, and only the rank it picks is
-    certified anew by :func:`factored_residual`.
+    :func:`~eddyopt.skpik.stack_residuals` in the n rows of the mesh,
+    where A is applied once to the left factor, and only the rank it
+    picks is certified anew by :func:`factored_residual`.
     """
 
     def certify(k: int) -> tuple[LowRankMatrix, float]:
@@ -355,16 +330,13 @@ def _compress(
         with _phase(phases, "certify", within="compress"):
             return x, factored_residual(x.left, x.right, problem)
 
+    def residuals(k: int) -> list[float]:
+        left = xc.left[:, :k]
+        return stack_residuals(problem.r1, problem.apply_a(left), left, xc.right[:, :k], problem)
+
     with _phase(phases, "compress"):
         s = np.linalg.norm(xc.right, axis=0)
-        return certified_truncation(
-            s,
-            (xc.right / s).T,
-            tol,
-            0.0,
-            lambda k: _truncation_residuals(xc.left[:, :k], xc.right[:, :k], problem),
-            certify,
-        )
+        return certified_truncation(s, (xc.right / s).T, tol, 0.0, residuals, certify)
 
 
 def lrminres_solve(

@@ -1,12 +1,12 @@
 """Dense and sparse linear-algebra kernels shared by the solvers.
 
 Block Gram-Schmidt with deflation, the one truncation rule and the
-low-rank solvers' rank rule built on it, the Frobenius norm of factored
-matrices, the norm and the triangular factor of a tall residual
-A - Q core walked by row blocks, rank-adaptive compression of a dense
-table, real Schur form, a dense Sylvester solve (Bartels-Stewart by
-LAPACK ``trsyl``; a refused
-pair is named by the eigenvalues of numpy's ``eigvals``), sparse
+low-rank solvers' rank rule built on it, the Frobenius norms of the
+leading columns of factored matrices, the norm and the triangular
+factor of a tall residual A - Q core walked by row blocks (every QR of
+the package), rank-adaptive compression of a dense table, real Schur
+form, a dense Sylvester solve (Bartels-Stewart by LAPACK ``trsyl``; a
+refused pair is named by the eigenvalues of numpy's ``eigvals``), sparse
 factorizations behind one interface, and Matrix Market I/O (one header
 check and one body parser for coordinate and array files).  Rank-zero
 factors (n x 0) take the general paths: numpy's QR and SVD and the
@@ -38,6 +38,7 @@ __all__ = [
     "LowRankMatrix",
     "mgs_orthonormalize",
     "lowrank_norm",
+    "lowrank_norms",
     "truncation_rank",
     "certified_truncation",
     "truncated_svd",
@@ -71,7 +72,7 @@ RANGE_BUDGET_FRACTION = 0.1
 RANGE_CAP_FRACTION = 0.25
 # bytes of the row block in which the range finder takes its residual norm: cache-sized
 RESIDUAL_BLOCK_BYTES = 256 * 1024
-# rows of the block in which residual_factor factors a taller table: about five times
+# rows of the blocks in which residual_factor factors every table: about five times
 # the widest prefix a cli-file solve reaches (198 columns), so the stacked triangles
 # add about 2 dim / (3 QR_BLOCK_ROWS) = 13 % to the flops of one QR there
 QR_BLOCK_ROWS = 1024
@@ -172,11 +173,21 @@ def mgs_orthonormalize(block, against=None):
     return np.column_stack(kept)
 
 
-def lowrank_norm(x: LowRankMatrix) -> float:
-    """Frobenius norm of the represented matrix, computed from the factors."""
+def lowrank_norms(x: LowRankMatrix, widths) -> list[float]:
+    """Frobenius norms of x.left[:, :c] x.right[:, :c]^T for each c in ``widths``.
+
+    The leading c columns of a factor are its Q times those of its R, so
+    one QR per factor serves every c; the slice [:c, :c] also keeps the
+    leading columns of a trapezoidal R, of a factor wider than tall.
+    """
     c1 = np.linalg.qr(x.left, mode="r")
     c2 = np.linalg.qr(x.right, mode="r")
-    return float(np.linalg.norm(c1 @ c2.T))
+    return [float(np.linalg.norm(c1[:c, :c] @ c2[:c, :c].T)) for c in widths]
+
+
+def lowrank_norm(x: LowRankMatrix) -> float:
+    """Frobenius norm of the represented matrix: :func:`lowrank_norms` at the full width."""
+    return lowrank_norms(x, [x.rank])[0]
 
 
 def truncation_rank(s: np.ndarray, rtol: float) -> int:
@@ -305,23 +316,20 @@ def _residual_norm(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> float:
 def residual_factor(a: np.ndarray, q: np.ndarray, core: np.ndarray) -> np.ndarray:
     """The square triangular factor R of the QR of A - Q core, by row blocks.
 
-    A table of at most ``QR_BLOCK_ROWS`` rows takes one ``np.linalg.qr``
-    of A - Q core.  A taller one is factored two-level, as a tall-skinny
-    QR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34):
-    each block of ``QR_BLOCK_ROWS`` rows is gathered from
-    :func:`_residual_blocks` into one column-major buffer and factored
-    there in place, and the triangles of the blocks, stacked, are
-    factored once more.  The result is the R of one QR up to the signs of
-    its rows, so R^T R and ||R z|| are those of A - Q core.  One block,
-    one buffer of ``_residual_blocks`` and the stack are held, never the
-    n-by-m residual.
+    A tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J.
+    Sci. Comput. 34): each block of ``QR_BLOCK_ROWS`` rows is gathered
+    from :func:`_residual_blocks` into one column-major buffer and
+    factored there in place, and the triangles of the blocks, stacked,
+    are factored once more; a lone triangle comes back bit for bit.  The
+    result is the R of one QR up to the signs of its rows, so R^T R and
+    ||R z|| are those of A - Q core.  One block, one buffer of
+    ``_residual_blocks`` and the stack are held, never the n-by-m
+    residual.
     """
     n, m = a.shape
     rows = QR_BLOCK_ROWS
-    if n <= rows:
-        return np.linalg.qr(a - q @ core, mode="r")
     starts = range(0, n, rows)
-    work = np.empty(rows * m)
+    work = np.empty(min(rows, n) * m)
     stack = np.empty((sum(min(rows, n - lo, m) for lo in starts), m), order="F")
     top = 0
     for lo in starts:

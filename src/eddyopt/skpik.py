@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +39,7 @@ from .lacore import (
     StagnationError,
     certified_truncation,
     lowrank_norm,
+    lowrank_norms,
     mgs_orthonormalize,
     residual_factor,
 )
@@ -54,6 +54,7 @@ __all__ = [
     "skpik_sweep",
     "skpik_solve",
     "factored_residual",
+    "stack_residuals",
     "truncation_residuals",
 ]
 
@@ -218,9 +219,8 @@ class ExtendedSpace:
         ``project``, and the triangular factor of its (I - U U^T) A U,
         charged to ``residual``; later requests, from any solve, reuse
         them.  The factor comes from
-        :func:`~eddyopt.lacore.residual_factor`: one QR of the table on
-        at most ``QR_BLOCK_ROWS`` nodes, else a QR by row blocks that
-        never forms the n-by-dim table.
+        :func:`~eddyopt.lacore.residual_factor`, a QR by row blocks of
+        ``QR_BLOCK_ROWS`` that never forms the n-by-dim table.
         """
         i = self.grow(j, problem, phases)
         if i not in self.eig:
@@ -315,11 +315,11 @@ class KpikState:
     iterate is X = U z.  With T_a and r the space's for the prefix, and
     R1 in range(U), the residual of any U z' is
     U (T_a z' + z' B - (U^T R1) R2^T) plus the part
-    (I - U U^T) A U z' orthogonal to U, whose norm is ||r z'||_F: r is
-    its triangular factor, whichever way it was computed.  The state sits on sweep ``sweeps``.  The history of
-    projected residuals, relative to the problem's ``rhs_norm``, holds
-    entry j for sweep j, NaN where no sweep j ran; the seconds spent per
-    phase sit next to it.
+    (I - U U^T) A U z' = W r z' orthogonal to U, with W r a QR of that
+    block, so its norm is ||r z'||_F.  The state sits on sweep ``sweeps``.
+    The history of projected residuals, relative to the problem's
+    ``rhs_norm``, holds entry j for sweep j, NaN where no sweep j ran;
+    the seconds spent per phase sit next to it.
     """
 
     space: ExtendedSpace
@@ -510,26 +510,48 @@ def _stagnated(state: KpikState, problem: SylvesterProblem) -> bool:
     return history[j - 1] * STAGNATION_FACTOR > history[back - 1]
 
 
+def stack_residuals(
+    r1: np.ndarray, a_x1: np.ndarray, x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem
+) -> list[float]:
+    """Relative residuals of the truncations of x1 x2^T to rank 1, 2, ..., from one QR per side.
+
+    x1, ``r1`` = R1 and ``a_x1`` = A x1 are in one orthonormal basis.
+    With a_j, b_j the columns of x1, x2 and p the width of R1, the rank-k
+    residual is the product of the leading p + 2k columns of
+    [-R1, A a_1, a_1, A a_2, ...] and [R2, b_1, B^T b_1, b_2, ...]; their
+    norms come from :func:`~eddyopt.lacore.lowrank_norms`.
+    """
+    p, k = r1.shape[1], x1.shape[1]
+    left = np.empty((len(x1), p + 2 * k))
+    right = np.empty((2 * problem.m_t, p + 2 * k))
+    left[:, :p], right[:, :p] = -r1, problem.r2
+    left[:, p::2], left[:, p + 1 :: 2] = a_x1, x1
+    right[:, p::2], right[:, p + 1 :: 2] = x2, problem.b_transpose @ x2
+    den = problem.rhs_norm or 1.0
+    norms = lowrank_norms(LowRankMatrix(left, right), range(p + 2, p + 2 * k + 1, 2))
+    return [res / den for res in norms]
+
+
 def truncation_residuals(
     state: KpikState, problem: SylvesterProblem, p: np.ndarray, s: np.ndarray, qt: np.ndarray
-) -> Iterator[float]:
+) -> list[float]:
     """Relative residuals of U z_k for k = 1, 2, ..., len(s), without n-sized work.
 
     z_k = p[:, :k] diag(s[:k]) qt[:k] are the truncations of the SVD
-    z = p diag(s) qt of the current projected solution.  Each U z_k lies
-    in range(U), so its squared residual is ||e_k||_F^2 + ||r z_k||_F^2
-    with e_k = T_a z_k + z_k B - (U^T R1) R2^T (see :class:`KpikState`).
-    Both terms change by one rank-one step from k - 1 to k.
+    z = p diag(s) qt of the current projected solution.  A U = U T_a + W r
+    and R1 = U (U^T R1) (see :class:`KpikState`), so
+    :func:`stack_residuals` scans them in the 2 dim coordinates of the
+    unformed [U, W]: R1 as [U^T R1; 0], A U p as [T_a p; r p], U p as [p; 0].
     """
     space, i = state.space, state.prefix
-    e = -(state.r1_proj[: space.dims[i]] @ problem.r2.T)
-    lead = (space.t_a(i) @ p) * s  # T_a p_j s_j
-    trail = (problem.b_transpose @ qt.T) * s  # B^T q_j s_j, so z_k B adds p_j (B^T q_j s_j)^T
-    outside = np.cumsum((np.linalg.norm(space.r[i] @ p, axis=0) * s) ** 2)
-    for j in range(s.size):
-        e += np.outer(lead[:, j], qt[j]) + np.outer(p[:, j], trail[:, j])
-        res = float(np.sqrt(np.sum(e * e) + outside[j]))
-        yield res / problem.rhs_norm if problem.rhs_norm else res
+    r1_proj = state.r1_proj[: space.dims[i]]
+    return stack_residuals(
+        np.vstack([r1_proj, np.zeros_like(r1_proj)]),
+        np.vstack([space.t_a(i) @ p, space.r[i] @ p]),
+        np.vstack([p, np.zeros_like(p)]),
+        qt.T * s,
+        problem,
+    )
 
 
 def _compress(

@@ -44,7 +44,7 @@ from eddyopt.reformulate import (
     solve_kkt_dense,
     vec,
 )
-from eddyopt.skpik import factored_residual
+from eddyopt.skpik import factored_residual, stack_residuals
 
 from oracles import dense_schur_hat, solve_kkt2
 
@@ -358,13 +358,14 @@ def test_truncation_residuals_match_factored_residual_of_each_truncation(monkeyp
     ops, config, grid, yd_lr, problem = _minimality_setup()
     xc = _capped_solve(monkeypatch, ops, config, grid, yd_lr).extra["solution"]
     assert xc.rank > 5
-    residuals = baselines._truncation_residuals(xc.left, xc.right, problem)
+    residuals = stack_residuals(problem.r1, problem.apply_a(xc.left), xc.left, xc.right, problem)
     assert len(residuals) == xc.rank
     for k, res in enumerate(residuals, 1):
         certified = factored_residual(xc.left[:, :k], xc.right[:, :k], problem)
         # both are relative to ||R1 R2^T||_F
         assert abs(res - certified) <= 1e-12
-    assert baselines._truncation_residuals(xc.left[:, :0], xc.right[:, :0], problem) == []
+    x1, x2 = xc.left[:, :0], xc.right[:, :0]
+    assert stack_residuals(problem.r1, problem.apply_a(x1), x1, x2, problem) == []
 
 
 def test_lrminres_report_phases_cover_the_solve():

@@ -18,6 +18,8 @@ from eddyopt.lacore import (
     SylvesterConditionError,
     certified_truncation,
     lowrank_from_dense,
+    lowrank_norm,
+    lowrank_norms,
     mgs_orthonormalize,
     mm_read,
     mm_read_dense,
@@ -203,6 +205,30 @@ def _factored(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scales = np.where(zeros, 0.0, 10.0 ** np.array(exps, dtype=float))
     return LowRankMatrix(rng.standard_normal((n, r)) * scales, rng.standard_normal((m, r)))
+
+
+@st.composite
+def _prefix_factors(draw):
+    """Random factors of n and m rows and r columns: tall, square or wide, r = 0 included."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return LowRankMatrix(rng.standard_normal((n, r)), rng.standard_normal((m, r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_prefix_factors())
+def test_lowrank_norms_match_the_dense_leading_products(x):
+    widths = range(x.rank + 1)  # width 0 included
+    norms = lowrank_norms(x, widths)
+    assert len(norms) == len(widths)
+    for c, norm in zip(widths, norms):
+        left, right = x.left[:, :c], x.right[:, :c]
+        dense = np.linalg.norm(left @ right.T)
+        assert abs(norm - dense) <= 1e-13 * np.linalg.norm(left) * np.linalg.norm(right)
+    # the full width is lowrank_norm
+    assert lowrank_norm(x) == norms[-1]
 
 
 _rtols = st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 0.1, 0.5])

@@ -302,6 +302,11 @@ def test_only_the_space_side_and_the_problem_builder_factorize():
     assert _calls_in_src("dpbtrs") == {"lacore.py"}
 
 
+def test_only_lacore_runs_a_qr():
+    # np.linalg.qr and scipy.linalg.qr: every residual norm and factor comes from lacore
+    assert _calls_in_src("qr") == {"lacore.py"}
+
+
 def test_space_side_factorizes_once_per_shift(monkeypatch):
     ops, config, grid, yd = _small_problem(cells=3, m_t=3)
     yd_lr = lowrank_desired(yd, 1e-12)

@@ -776,7 +776,13 @@ def _block_error_ok(s, qt, k, m_t, tol):
 
 @pytest.mark.parametrize(
     "cells, m_t, sigma, beta",
-    [(2, 2, 1.0, 1.0), (3, 3, 0.5, 0.01), (4, 5, 1e-4, 1e-6), (5, 4, 1e4, 1e-3)],
+    [
+        (2, 2, 1.0, 1.0),
+        (3, 3, 0.5, 0.01),
+        (4, 5, 1e-4, 1e-6),
+        (5, 4, 1e4, 1e-3),
+        (2, 5, 1.0, 1e-2),  # k = dim: the stacks are wider than their 2 dim rows
+    ],
 )
 def test_truncation_residuals_match_dense_residual(cells, m_t, sigma, beta):
     # the projected residual of every truncation U z_k is its true residual
