@@ -10,6 +10,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -480,13 +481,14 @@ def run_verify(n: int = 25, m_t: int = 4):
     tuples; ``ok`` is True when every value is within its limit.
     """
     gate = 1e-6
+    if n < 1 or math.isqrt(n) ** 2 != n:
+        raise UsageError(f"--n {n} is not a square node count like 9, 25, 81")
+    if m_t < 1:
+        raise UsageError("--mT must be at least 1")
     if n == 1:
         ops, config, grid, yd = _scalar_instance(m_t)
     else:
-        cells = int(round(np.sqrt(n))) - 1
-        if cells < 1 or (cells + 1) ** 2 != n:
-            raise UsageError(f"--n {n} is not a square node count like 9, 25, 81")
-        mesh = build_mesh(cells)
+        mesh = build_mesh(math.isqrt(n) - 1)
         config = ProblemConfig(sigma=1.0, beta=1e-2, tol=1e-8, trunc_tol=1e-12)
         grid = TimeGrid(m_t)
         ops = build_operators(mesh, config)

@@ -6,14 +6,15 @@ leading columns of factored matrices, the norm and the triangular
 factor of a tall residual A - Q core walked by row blocks (every QR of
 the package), rank-adaptive compression of a dense table, real Schur
 form, a dense Sylvester solve (Bartels-Stewart by LAPACK ``trsyl``; a
-refused pair is named by the eigenvalues of numpy's ``eigvals``), sparse
-factorizations behind one interface, and Matrix Market I/O (one header
-check and one body parser for coordinate and array files).  Rank-zero
-factors (n x 0) take the general paths: numpy's QR and SVD and the
-sparse solves return empty or zero results on them.  SPD matrices are
-factored by band Cholesky after a reverse Cuthill-McKee ordering, which
-suits operators of small bandwidth such as those of 2-D meshes; the one
-nonsymmetric matrix, the time coupling B, by SuperLU.
+refused pair is named by the eigenvalues of numpy's ``eigvals``), two
+sparse factorizations, and Matrix Market I/O (one header check and one
+body parser for coordinate and array files).  Rank-zero factors (n x 0)
+take the general paths: numpy's QR and SVD and the sparse solves return
+empty or zero results on them.  SPD matrices are factored by band
+Cholesky after a reverse Cuthill-McKee ordering, which suits operators
+of small bandwidth such as those of 2-D meshes: that is the one
+factorization type, :class:`SparseFactorization`.  The one nonsymmetric
+matrix, the time coupling B, by SciPy's SuperLU, returned unwrapped.
 """
 
 from __future__ import annotations
@@ -493,37 +494,25 @@ def solve_sylvester_dense(ta, tb, c):
 
 
 @dataclass(frozen=True)
-class _BandCholesky:
-    """A = P^T U^T U P, with U the upper band factor of the reordered matrix.
+class SparseFactorization:
+    """A band Cholesky factorization A = P^T U^T U P; ``solve`` applies A^{-1}.
 
     ``order`` is the symmetric ordering P, ``inverse`` its inverse and
-    ``band`` the LAPACK upper band storage of U, (kd + 1) x n in Fortran
-    order.  Plain arrays, so the factor pickles.
+    ``band`` the LAPACK upper band storage of U, the factor of the
+    reordered matrix, (kd + 1) x n in Fortran order.  Plain arrays, so
+    the factor pickles.
     """
 
     order: np.ndarray
     inverse: np.ndarray
     band: np.ndarray
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        # A is symmetric, so the transposed solve is the same solve
+    def solve(self, b) -> np.ndarray:
+        b, n = np.asarray(b, dtype=float), len(self.order)
+        if b.shape[0] != n:
+            raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
         x, _ = scipy.linalg.lapack.dpbtrs(self.band, b[self.order], overwrite_b=1)
         return x[self.inverse]
-
-
-@dataclass
-class SparseFactorization:
-    """Handle for a factorized sparse matrix; ``solve`` applies the inverse."""
-
-    kind: str  # "cholesky" | "lu"
-    n: int
-    _factor: _BandCholesky | spla.SuperLU
-
-    def solve(self, b, trans: str = "N"):
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {self.n}")
-        return self._factor.solve(b, trans=trans)
 
 
 def sparse_spd_factorize(a) -> SparseFactorization:
@@ -568,19 +557,22 @@ def sparse_spd_factorize(a) -> SparseFactorization:
         raise NotSpdError(
             f"matrix is not SPD: the pivot of row {order[info - 1]} is not positive"
         )
-    return SparseFactorization("cholesky", n, _BandCholesky(order, inverse, band))
+    return SparseFactorization(order, inverse, band)
 
 
-def sparse_lu_factorize(a) -> SparseFactorization:
-    """Factorize a square nonsingular sparse matrix by LU with partial pivoting."""
+def sparse_lu_factorize(a) -> spla.SuperLU:
+    """Factorize a square nonsingular sparse matrix by LU with partial pivoting.
+
+    Returns SciPy's ``SuperLU`` itself; its ``solve(b, trans="T")`` solves
+    with the transpose.
+    """
     a = sp.csc_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     try:
-        lu = spla.splu(a)
+        return spla.splu(a)
     except RuntimeError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    return SparseFactorization("lu", a.shape[0], lu)
 
 
 # ---------------------------------------------------------------------------

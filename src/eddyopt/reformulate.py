@@ -26,7 +26,6 @@ import scipy.sparse as sp
 from .discretize import ProblemConfig, SpaceOperators, TimeGrid
 from .lacore import (
     LowRankMatrix,
-    SparseFactorization,
     lowrank_norm,
     mgs_orthonormalize,
     sparse_lu_factorize,
@@ -139,12 +138,12 @@ class SylvesterProblem:
     ||R1 R2^T||_F, computed once per object; :func:`dataclasses.replace`
     makes a new object, which computes its own.  ``b_transpose`` is the
     CSC view B^T, made once per object so that products with B build no
-    sparse object per call.  No solver uses ``b_lu``, the LU factorization
-    of ``b_matrix``; it is computed on first access only, and stays
-    because the benchmark's tracer wraps it, until the next change to the
-    benchmark.  The object is immutable in use; the spaces it shares grow
-    as solves ask for them, so solves on one ``ops`` must not run in
-    concurrent threads.
+    sparse object per call.  No solver uses ``b_lu``, SciPy's ``SuperLU``
+    factorization of ``b_matrix``; it is computed on first access only,
+    and stays because the benchmark's tracer wraps it, until the next
+    change to the benchmark.  The object is immutable in use; the spaces
+    it shares grow as solves ask for them, so solves on one ``ops`` must
+    not run in concurrent threads.
     """
 
     n: int
@@ -178,8 +177,8 @@ class SylvesterProblem:
         return self.b_matrix.T
 
     @cached_property
-    def b_lu(self) -> SparseFactorization:
-        """The LU factorization of ``b_matrix``, computed on first access."""
+    def b_lu(self) -> sp.linalg.SuperLU:
+        """SciPy's ``SuperLU`` of ``b_matrix``, computed on first access."""
         return sparse_lu_factorize(self.b_matrix)
 
 

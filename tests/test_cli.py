@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -742,5 +743,18 @@ def test_verify_corrupted_solver_fails(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_rejects_non_square_count(capsys):
-    assert run_cli("verify", "--n", "7") == 1
+@pytest.mark.parametrize("n", ["7", "-5", "0"])
+def test_verify_rejects_non_square_count(capsys, n):
+    # the count is checked in integers before any arithmetic: no sqrt of a negative
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("verify", "--n", n) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert f"--n {n} is not a square node count" in err
+    assert "Warning" not in err
+
+
+def test_verify_rejects_an_empty_time_grid(capsys):
+    assert run_cli("verify", "--mT", "0") == 1
+    assert "error: --mT must be at least 1" in capsys.readouterr().err

@@ -774,7 +774,6 @@ def test_sylvester_near_spectral_collision_raises_or_is_accurate(pair, seed):
 
 def test_spd_scalar_factor():
     f = sparse_spd_factorize(sp.csr_matrix(np.array([[4.0]])))
-    assert f.kind == "cholesky"
     assert np.allclose(f.solve(np.array([8.0])), [2.0])
 
 

@@ -302,6 +302,20 @@ def test_only_the_space_side_and_the_problem_builder_factorize():
     assert _calls_in_src("dpbtrs") == {"lacore.py"}
 
 
+def test_lacore_has_one_factorization_type():
+    # SparseFactorization is the band Cholesky; B's LU is SciPy's SuperLU, not a lacore class
+    tree = dict(_src_trees())["lacore.py"]
+    solvers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "solve" for item in node.body)
+    ]
+    assert [node.name for node in solvers] == ["SparseFactorization"]
+    inside = len(list(_calls(solvers[0], "dpbtrs")))
+    assert inside >= 1
+    assert len(list(_calls(tree, "dpbtrs"))) == inside
+
+
 def test_only_lacore_runs_a_qr():
     # np.linalg.qr and scipy.linalg.qr: every residual norm and factor comes from lacore
     assert _calls_in_src("qr") == {"lacore.py"}

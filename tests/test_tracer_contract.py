@@ -5,7 +5,8 @@ that calls a function by another name would blind its per-layer numbers
 without failing anything else.  This runs one solve and a two-point
 sweep under the tracer, one solve on imported operators that writes its
 factors, and each baseline solver once, and checks that each layer
-recorded a span.
+recorded a span.  It also solves with the LU of B through the tracer's
+wrapper, which counts the columns.
 """
 
 import csv
@@ -13,10 +14,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 import eddyopt.baselines as BL
 import eddyopt.cli as cli
 import eddyopt.discretize as D
+import eddyopt.reformulate as R
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -167,3 +170,29 @@ def test_tracer_records_the_baseline_layers(monkeypatch):
     assert "solution" in lr_report.extra
     assert {"multiplier", "step_iterations"} <= f_report.extra.keys()
     assert tracer.counts["baselines.fminres.step_iters"] == sum(f_report.extra["step_iterations"])
+
+
+def test_tracer_counts_the_columns_solved_with_B(monkeypatch):
+    # the tracer wraps each problem's b_lu, SciPy's SuperLU, and forwards trans to it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    mesh = D.build_mesh(3)
+    config = D.ProblemConfig(sigma=1.0, beta=1e-2)
+    grid = D.TimeGrid(3)
+    ops = D.build_operators(mesh, config)
+    yd_lr = D.lowrank_desired(D.sample_desired_state("ex1", mesh, grid), config.trunc_tol)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        problem = R.build_sylvester_problem(ops, config, grid, yd_lr)
+    finally:
+        tracer.uninstall()
+    assert isinstance(problem.b_lu._inner, spla.SuperLU)
+    b_dense = problem.b_matrix.toarray()
+    rhs = np.random.default_rng(3).standard_normal((2 * grid.m_t, 4))
+    x = problem.b_lu.solve(rhs)
+    xt = problem.b_lu.solve(rhs, trans="T")
+    assert np.linalg.norm(x - np.linalg.solve(b_dense, rhs)) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(xt - np.linalg.solve(b_dense.T, rhs)) <= 1e-12 * np.linalg.norm(xt)
+    assert tracer.counts["skpik.b_lu.solve.cols"] == 2 * rhs.shape[1]
