@@ -232,6 +232,9 @@ def _solve_point(method: str, ops, config, grid, target):
         if method == "skpik"
         else None,
         "phases": report.extra.get("phases"),
+        # skpik's pole and the sweep of its switch, null when it kept the extended Krylov space
+        "pole": report.extra.get("pole"),
+        "switched_at": report.extra.get("switched_at"),
         "tol": config.tol,
         "trunc_tol": config.trunc_tol,
     }

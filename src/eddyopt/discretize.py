@@ -40,7 +40,11 @@ __all__ = [
 
 # entries a SpaceOperators keeps, shifted factors and extended Krylov spaces
 # together, evicting the least recently used: the desk grid keeps four per
-# operator set (the factor of K and one space per time grid)
+# operator set (the factor of K and one space per time grid), and a sweep
+# group whose target switches to the pole space at k values of beta keeps
+# 2 + 2k (the factor of K, the space, and a pole factor and a pole space per
+# beta), so up to three such betas fit; more evict, and an evicted entry is
+# recomputed to the same bits when it is asked for again
 CACHE_ENTRIES = 8
 
 

@@ -6,8 +6,11 @@ inverse, and its image A U is kept so that A is applied once per basis
 column.  A does not depend on sigma, beta or the time grid, so the
 space is shared: the operators keep one :class:`ExtendedSpace` per
 shift and target range, and every solve runs its sweeps on prefixes of
-it.  The Galerkin condition (M U)^T R = 0 gives the projected equation
-K_a Z + M_a Z B = M_a (U^T R1) R2^T, with K_a = U^T K_s U and
+it.  A solve whose residual stalls above its target restarts once on
+the space that also grows with (A + w I)^{-1}, a real pole at
+w = 1/sqrt(beta) next to the time coupling's spectrum, kept per shift,
+w and target range.  The Galerkin condition (M U)^T R = 0 gives the
+projected equation K_a Z + M_a Z B = M_a (U^T R1) R2^T, with K_a = U^T K_s U and
 M_a = U^T M U both positive definite.  It keeps the small, sparse time
 coupling B whole and is solved exactly: the eigenvectors of the pencil
 (K_a, M_a) split it into one shifted system (lambda I + B^T) per real
@@ -61,8 +64,11 @@ __all__ = [
 # skpik stops as stagnated once the projected residual, below
 # STAGNATION_LEVEL, has fallen by less than STAGNATION_FACTOR over the last
 # STAGNATION_WINDOW sweeps.  Higher up, such a stall can be a plateau that
-# ends: a rank-3 target on the 3025-node mesh holds 1.4e-6 for 22 sweeps,
-# then converges.  Below sqrt(eps) the stalls measured were all floors.
+# ends: a rank-3 target on the 3025-node mesh (mT = 200, sigma = 1e-4,
+# beta = 1e-2) holds about 3e-6 from sweep 4 to sweep 24 of the extended
+# Krylov space and meets 1e-6 at sweep 31; such a stall moves the solve to
+# the pole space instead (POLE_WINDOW).  Below sqrt(eps) the stalls
+# measured were all floors.
 STAGNATION_FACTOR = 2.0
 STAGNATION_WINDOW = 10
 STAGNATION_LEVEL = float(np.sqrt(np.finfo(float).eps))
@@ -71,6 +77,14 @@ STAGNATION_LEVEL = float(np.sqrt(np.finfo(float).eps))
 # max(tol, STAGNATION_LEVEL) by sweeping every SEARCH_STRIDE-th prefix and
 # bisecting the last stride; from there it sweeps one prefix at a time.
 SEARCH_STRIDE = 4
+
+# skpik_solve restarts once on the space with a real pole at w = 1/sqrt(beta)
+# when its search stalls: at a sweep 2 POLE_WINDOW, 3 POLE_WINDOW, ... that
+# misses the search's target, with the projected residual down by less than
+# STAGNATION_FACTOR over the POLE_WINDOW sweeps before.  SEARCH_STRIDE
+# divides it, so the stride search and a scan of every prefix check the
+# same sweeps.  Windows of 8 and 10 leave the plateau later.
+POLE_WINDOW = 4
 
 # the keys of skpik's extra["phases"]: seconds per stage of the solve
 PHASES = ("extend", "project", "time_side", "residual", "compress", "certify")
@@ -93,17 +107,21 @@ class SolveReport:
 
 
 class ExtendedSpace:
-    """The extended Krylov space of the space operator A from one seed.
+    """The extended Krylov space of the space operator A from one seed,
+    with an optional real pole p >= 0.
 
     Keeps an orthonormal basis U with its image A U, together with the
-    two seed blocks that the next extension advances: the forward block
-    is mapped by the operator, the inverse block by its inverse.  The
+    seed blocks that the next extension advances: the forward block is
+    mapped by the operator, the inverse block by its inverse, and with a
+    pole the pole block by (A + p I)^{-1} = (K_s + p M)^{-1} M, over the
+    SPD factor of K + (shift + p) M that the operators keep.  The
     forward block is a column block of U, so its image is read from the
-    cached A U instead of being computed again.  Either block may
-    deflate to nothing; once both are empty the space is closed.
+    cached A U instead of being computed again.  Any block may deflate to
+    nothing; once all are empty the space is closed.
 
-    Prefix j is the space after j extensions (j = 0 is the seed and its
-    inverse image), grown lazily one block at a time; a closed space has
+    Prefix j is the space after j extensions (j = 0 is the seed, its
+    inverse image and, with a pole, its image under (A + p I)^{-1}),
+    grown lazily one block at a time; a closed space has
     no prefix past its last.  ``dims[j]`` is its dimension.  On all of U
     the space keeps T = U^T A U (``t``), M_a = U^T M U (``m_a``) and
     K_a = U^T M A U = U^T K_s U (``k_a``); each grows by one block row
@@ -117,24 +135,27 @@ class ExtendedSpace:
     is the same however far the space has grown since and whichever
     solve first ran on it.  A depends on
     neither sigma nor beta nor the time grid, so every problem on one
-    operator set with the same shift and seed runs on prefixes of one
-    space, and its first columns are a function of (operators, shift,
-    seed, j) only.  U and A U live in column-major buffers whose
-    capacity doubles when it runs out: a prefix of them is laid out the
+    operator set with the same shift, pole and seed runs on prefixes of
+    one space, and its first columns are a function of (operators,
+    shift, pole, seed, j) only.  U and A U live in column-major buffers
+    whose capacity doubles when it runs out: a prefix of them is laid out the
     same at any capacity, so the products a solve forms with it do not
     change bits with the growth history.
     """
 
-    def __init__(self, seed: np.ndarray):
+    def __init__(self, seed: np.ndarray, pole: float | None = None):
         if seed.shape[1] == 0:
             raise StagnationError("right-hand-side factor deflated to an empty basis")
         self.seed = seed
+        self.pole = pole
         self.dim = 0
         self._basis = np.empty((seed.shape[0], 0), order="F")
         self._image = np.empty((seed.shape[0], 0), order="F")
-        # the seed is the first forward block and the first block to invert
+        # the seed is the first forward block and the first block to invert,
+        # with the pole's resolvent too when there is a pole
         self.fwd_cols = slice(0, 0)
         self.block_inv = seed
+        self.block_pole = seed if pole is not None else seed[:, :0]
         self.dims: list[int] = []
         self.t = np.empty((0, 0))
         self.m_a = np.empty((0, 0))
@@ -153,7 +174,8 @@ class ExtendedSpace:
     @property
     def closed(self) -> bool:
         fwd_empty = self.fwd_cols.start == self.fwd_cols.stop
-        return self.dim > 0 and fwd_empty and self.block_inv.shape[1] == 0
+        others_empty = self.block_inv.shape[1] == self.block_pole.shape[1] == 0
+        return self.dim > 0 and fwd_empty and others_empty
 
     def t_a(self, j: int) -> np.ndarray:
         """U^T A U on prefix j: the leading block of ``t``."""
@@ -173,7 +195,7 @@ class ExtendedSpace:
         self.dim = end
 
     def _extend(self, problem: SylvesterProblem) -> None:
-        """Advance the seed blocks with the problem's operator and its inverse."""
+        """Advance the seed blocks with the operator, its inverse and the pole's resolvent."""
         start = self.dim
         if start == 0:
             self._append(self.seed)
@@ -184,6 +206,10 @@ class ExtendedSpace:
             inverse = problem.apply_a_inv(self.block_inv)
             self.block_inv = mgs_orthonormalize(inverse, against=self.basis)
             self._append(self.block_inv)
+        if self.block_pole.shape[1]:
+            solved = problem.apply_resolvent(self.block_pole, self.pole)
+            self.block_pole = mgs_orthonormalize(solved, against=self.basis)
+            self._append(self.block_pole)
         if self.dim > start:
             self._image[:, start : self.dim] = problem.apply_a(self._basis[:, start : self.dim])
 
@@ -380,18 +406,20 @@ def factored_residual(x1: np.ndarray, x2: np.ndarray, problem: SylvesterProblem)
     return num / den if den else num
 
 
-def skpik_init(problem: SylvesterProblem) -> KpikState:
-    """Start on the seed prefix of the shared space: the orthonormalized [R1, A^{-1} R1].
+def skpik_init(problem: SylvesterProblem, pole: float | None = None) -> KpikState:
+    """Start on the seed prefix of the shared space: the orthonormalized [R1, A^{-1} R1],
+    followed by (A + pole I)^{-1} R1 when a pole is given.
 
     Dependent directions are deflated.  The space is the one the
-    problem's operators keep for its shift and seed; if the prefix is not
-    yet grown, growing it is charged to the new state's phases.
+    problem's operators keep for its shift, pole and seed; if the prefix
+    is not yet grown, growing it is charged to the new state's phases.
     """
     if problem.r1.shape[1] == 0:
         raise ValueError("the right-hand side has rank zero; nothing to iterate on")
     phases = dict.fromkeys(PHASES, 0.0)
-    key = ("extended space", problem.shift, problem.seed.shape, problem.seed.tobytes())
-    space = problem.ops.cached(key, lambda: ExtendedSpace(problem.seed))
+    seed = problem.seed
+    key = ("extended space", problem.shift, pole, seed.shape, seed.tobytes())
+    space = problem.ops.cached(key, lambda: ExtendedSpace(seed, pole))
     dim = space.dims[space.grow(0, problem, phases)]
     with _phase(phases, "time_side"):
         r1_proj = space.basis[:, :dim].T @ problem.r1
@@ -464,7 +492,9 @@ def skpik_sweep(state: KpikState, problem: SylvesterProblem) -> KpikState:
     return state
 
 
-def _search(state: KpikState, problem: SylvesterProblem, target: float, max_sweeps: int) -> None:
+def _search(
+    state: KpikState, problem: SylvesterProblem, target: float, max_sweeps: int
+) -> int | None:
     """Sweep to the first prefix whose projected residual meets ``target``.
 
     Sweeps prefixes SEARCH_STRIDE, 2 SEARCH_STRIDE, ..., capped at
@@ -477,16 +507,22 @@ def _search(state: KpikState, problem: SylvesterProblem, target: float, max_swee
     it; else j may lie later.  Which prefixes are evaluated depends only
     on this problem's residuals and on where the space closes, never on
     how far the shared space has already grown.
+
+    On a space without a pole, a stride point that misses ``target``
+    and has stalled (see :func:`_stalled`) ends the search there, and its
+    sweep is returned; else None is.
     """
     lo = 0
     while True:
         cap = min(lo + SEARCH_STRIDE, max_sweeps)
         hi = max(1, state.space.grow(cap, problem, state.phases))
         if hi == lo:  # the state sits on the cap
-            return
+            return None
         _move(state, hi, _evaluate(state, problem, hi))
         if state.residual_history[hi - 1] <= target:
             break
+        if state.space.pole is None and _stalled(state, problem):
+            return hi
         lo = hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -496,18 +532,33 @@ def _search(state: KpikState, problem: SylvesterProblem, target: float, max_swee
             _move(state, mid, z)
         else:
             lo = mid
+    return None
+
+
+def _flat(state: KpikState, problem: SylvesterProblem, window: int) -> bool:
+    """Has the residual fallen by less than STAGNATION_FACTOR over the last ``window``
+    sweeps?  A prefix the search skipped is evaluated."""
+    j, history = state.sweeps, state.residual_history
+    back = j - window
+    if np.isnan(history[back - 1]):
+        _evaluate(state, problem, back)
+    return history[j - 1] * STAGNATION_FACTOR > history[back - 1]
 
 
 def _stagnated(state: KpikState, problem: SylvesterProblem) -> bool:
     """Has the residual, below STAGNATION_LEVEL, fallen by less than STAGNATION_FACTOR
-    over the last STAGNATION_WINDOW sweeps?  A prefix the search skipped is evaluated."""
+    over the last STAGNATION_WINDOW sweeps?"""
     j, history = state.sweeps, state.residual_history
     if j <= STAGNATION_WINDOW or history[j - 1] > STAGNATION_LEVEL:
         return False
-    back = j - STAGNATION_WINDOW
-    if np.isnan(history[back - 1]):
-        _evaluate(state, problem, back)
-    return history[j - 1] * STAGNATION_FACTOR > history[back - 1]
+    return _flat(state, problem, STAGNATION_WINDOW)
+
+
+def _stalled(state: KpikState, problem: SylvesterProblem) -> bool:
+    """Is the state on sweep 2 POLE_WINDOW, 3 POLE_WINDOW, ..., with a residual that
+    has fallen by less than STAGNATION_FACTOR over the last POLE_WINDOW sweeps?"""
+    j = state.sweeps
+    return j % POLE_WINDOW == 0 and j >= 2 * POLE_WINDOW and _flat(state, problem, POLE_WINDOW)
 
 
 def stack_residuals(
@@ -599,8 +650,16 @@ def skpik_solve(
     whose h meets max(tol, ``STAGNATION_LEVEL``) is searched for, not
     scanned for: prefixes ``SEARCH_STRIDE``, 2 ``SEARCH_STRIDE``, ... are
     swept until one meets it, and the last stride is bisected down to the
-    prefix J whose predecessor fails (see :func:`_search`).  From J on
-    sweeps go one prefix at a time.  Once h passes the
+    prefix J whose predecessor fails (see :func:`_search`).  If the
+    search meets a sweep 2 ``POLE_WINDOW``, 3 ``POLE_WINDOW``, ... that
+    misses its target with h down by less than ``STAGNATION_FACTOR``
+    over the ``POLE_WINDOW`` sweeps before, the solve restarts once, on
+    the space with the pole w = 1/sqrt(beta) (see
+    :class:`ExtendedSpace`), and searches again there; the decision
+    rests on this solve's residuals at fixed sweeps only, so the pole
+    space is shared by every solve that switches on the same operators,
+    shift, w and seed.  From J on sweeps go one prefix at a time.  Once
+    h passes the
     tolerance, the iterate U z is compressed to the smallest rank whose
     projected residual meets tol and which changes the state and the
     multiplier block each by at most tol, relative; that rank is no
@@ -621,14 +680,19 @@ def skpik_solve(
     every prefix makes, with the same bits.
 
     ``iterations`` is the sweep count J, and ``residual_history`` holds
-    h(1), ..., h(J) with NaN for the sweeps the search skipped.
+    h(1), ..., h(J) with NaN for the sweeps the search skipped; both, and
+    ``subspace``, describe the space the solve ended on.
     ``extra["stop_reason"]`` is ``"converged"``, ``"stagnation"``,
-    ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["phases"]`` holds
-    the seconds spent in each of ``PHASES``.  ``extend`` counts only the
-    growth of the shared space that this solve caused, and ``project``
-    and ``residual`` the eigenproblems and QRs of the prefixes this solve
-    was the first to sweep on (see :meth:`ExtendedSpace.prefix`); each is
-    0 when another solve did that work before.
+    ``"max_sweeps"`` or ``"space_exhausted"``; ``extra["pole"]`` is w
+    when the solve switched to the pole space and None otherwise, and
+    ``extra["switched_at"]`` the sweep of the extended Krylov space at
+    which it switched, or None.  ``extra["phases"]`` holds the seconds
+    spent in each of ``PHASES``, on both spaces of a solve that switched.
+    ``extend`` counts only the growth of the shared spaces that this
+    solve caused, and ``project`` and ``residual`` the eigenproblems and
+    QRs of the prefixes this solve was the first to sweep on (see
+    :meth:`ExtendedSpace.prefix`); each is 0 when another solve did that
+    work before.
     """
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
@@ -649,13 +713,25 @@ def skpik_solve(
             residual_history=[],
             subspace=(0, 0),
             absolute_residual=True,
-            extra={"stop_reason": "converged", "phases": dict.fromkeys(PHASES, 0.0)},
+            extra={
+                "stop_reason": "converged",
+                "phases": dict.fromkeys(PHASES, 0.0),
+                "pole": None,
+                "switched_at": None,
+            },
         )
         return x, report
 
+    target = max(tol, STAGNATION_LEVEL)
     state = skpik_init(problem)
+    switched_at = _search(state, problem, target, max_sweeps)
+    if switched_at is not None:
+        phases = state.phases
+        state = skpik_init(problem, pole=problem.w)
+        for name, seconds in phases.items():
+            state.phases[name] += seconds
+        _search(state, problem, target, max_sweeps)
     history = state.residual_history
-    _search(state, problem, max(tol, STAGNATION_LEVEL), max_sweeps)
     exhausted = False
     while True:
         stagnated = _stagnated(state, problem)
@@ -687,6 +763,11 @@ def skpik_solve(
         seconds=time.perf_counter() - start,
         residual_history=history[: state.sweeps],
         subspace=state.dims,
-        extra={"stop_reason": stop_reason, "phases": dict(state.phases)},
+        extra={
+            "stop_reason": stop_reason,
+            "phases": dict(state.phases),
+            "pole": state.space.pole,
+            "switched_at": switched_at,
+        },
     )
     return x, report

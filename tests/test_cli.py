@@ -16,7 +16,7 @@ import eddyopt.cli as cli
 from eddyopt.discretize import ProblemConfig, TimeGrid, build_mesh, build_operators, lowrank_desired, sample_desired_state
 from eddyopt.lacore import mm_read, mm_read_dense, mm_write
 from eddyopt.reformulate import build_sylvester_problem
-from eddyopt.skpik import factored_residual
+from eddyopt.skpik import POLE_WINDOW, factored_residual
 
 
 def run_cli(*argv):
@@ -359,6 +359,39 @@ def test_solve_reads_target_table_of_one_node(tmp_path):
             "solve", "--method", "skpik", "--matrices", str(opsdir), "--mT", m_t,
             "--sigma", "1", "--beta", "1", "--example", "file", "--yd-file", str(yd_file),
         ) == 0, m_t
+
+
+def test_solve_that_switches_to_the_pole_space_writes_it(tmp_path):
+    # a rank-3 target on 1681 nodes stalls on the extended Krylov space; the
+    # JSON names the pole and the sweep of the switch, and the factors certify
+    mesh, m_t = build_mesh(40), 5
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    t = np.arange(1, m_t + 1) / m_t
+    modes = [(1, 1), (2, 1), (1, 3)]
+    yd = sum(
+        np.outer(np.sin(k * np.pi * x) * np.sin(l * np.pi * y), np.cos((j + 1) * np.pi * t + phi))
+        for j, ((k, l), phi) in enumerate(zip(modes, (0.4, 1.3, 2.2)))
+    )
+    yd_file, out = tmp_path / "yd.txt", tmp_path / "pole.json"
+    np.savetxt(yd_file, yd)
+    assert run_cli(
+        "solve", "--method", "skpik", "--mesh", "40", "--mT", str(m_t), "--sigma", "1e-4",
+        "--beta", "1e-2", "--example", "file", "--yd-file", str(yd_file), "--out", str(out),
+    ) == 0
+    row = json.loads(out.read_text())
+    config = ProblemConfig(sigma=1e-4, beta=1e-2)
+    assert row["converged"] is True and row["stop_reason"] == "converged"
+    assert row["pole"] == 1.0 / np.sqrt(config.beta)
+    assert row["switched_at"] is not None and row["switched_at"] % POLE_WINDOW == 0
+    assert len(row["residual_history"]) == row["iters"] < row["switched_at"]
+    x1 = mm_read_dense(tmp_path / "pole.X1.mtx")
+    x2 = mm_read_dense(tmp_path / "pole.X2.mtx")
+    ops = build_operators(mesh, config)
+    yd_lr = lowrank_desired(np.loadtxt(yd_file, ndmin=2), config.trunc_tol)
+    problem = build_sylvester_problem(ops, config, TimeGrid(m_t), yd_lr)
+    certified = factored_residual(x1, x2, problem)
+    assert certified <= config.tol
+    assert abs(certified - row["residual"]) <= 1e-12
 
 
 def test_solve_import_mode_requires_yd_file(tmp_path, capsys):

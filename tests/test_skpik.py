@@ -37,6 +37,7 @@ from eddyopt.reformulate import (
 )
 from eddyopt.skpik import (
     PHASES,
+    POLE_WINDOW,
     SEARCH_STRIDE,
     STAGNATION_FACTOR,
     STAGNATION_LEVEL,
@@ -386,12 +387,9 @@ def test_solve_stop_reason_stagnation():
     assert abs(report.residual - factored_residual(x.left, x.right, problem)) <= 1e-14
 
 
-def test_solve_plateau_above_stagnation_level_is_not_cut():
-    # a rank-3 target on the 3025-node mesh: the residual holds near 1.5e-6
-    # for about 20 sweeps and then converges; the stall lies above
-    # STAGNATION_LEVEL, so it must not be taken for stagnation
-    cells, m_t = 54, 50
-    mesh = build_mesh(cells)
+def _plateau_problem(m_t=50):
+    """A rank-3 target on the 3025-node mesh, on which the extended Krylov space stalls."""
+    mesh = build_mesh(54)
     config = ProblemConfig(sigma=1e-4, beta=1e-2)
     ops = build_operators(mesh, config)
     x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -401,20 +399,85 @@ def test_solve_plateau_above_stagnation_level_is_not_cut():
         np.outer(np.sin(k * np.pi * x1) * np.sin(l * np.pi * x2), np.cos((j + 1) * np.pi * t + phi))
         for j, ((k, l), phi) in enumerate(zip(modes, (0.4, 1.3, 2.2)))
     )
-    problem = _problem(ops, config, TimeGrid(m_t), yd, rhs_tol=config.trunc_tol)
+    return _problem(ops, config, TimeGrid(m_t), yd, rhs_tol=config.trunc_tol), config
+
+
+def test_solve_plateau_above_stagnation_level_is_not_cut():
+    # on the extended Krylov space the residual holds near 2e-6 for about 20
+    # sweeps; the stall lies above STAGNATION_LEVEL, so it must not be taken
+    # for stagnation: the solve moves to the space with a pole at w instead
+    problem, config = _plateau_problem()
     _, report = skpik_solve(problem, config.tol, config.trunc_tol)
     assert report.converged and report.extra["stop_reason"] == "converged"
-    # the plateau, from a scan of every prefix up to the solve's sweep count
-    state = skpik_init(problem)
-    for _ in range(report.iterations):
-        skpik_sweep(state, problem)
-    history = state.residual_history
+    assert report.extra["pole"] == problem.w
+    # the plateau, from a scan of the extended Krylov space without a pole
+    history = _scan(problem, 24)
     stalled = [
         k
         for k in range(STAGNATION_WINDOW, len(history))
         if history[k] * STAGNATION_FACTOR > history[k - STAGNATION_WINDOW]
     ]
     assert stalled and min(history[k] for k in stalled) > STAGNATION_LEVEL
+    # no prefix of the scan meets tol; the pole space does in fewer sweeps
+    assert min(history) > config.tol and report.iterations < len(history)
+
+
+def test_pole_switch_is_the_same_for_every_search_stride():
+    # the switch is decided at sweeps 2 POLE_WINDOW, 3 POLE_WINDOW, ..., which a
+    # scan of every prefix and the stride search both evaluate
+    problem, config = _plateau_problem()
+    _, report = skpik_solve(problem, config.tol, config.trunc_tol)
+    with mock.patch.object(skpik, "SEARCH_STRIDE", 1):
+        fresh, _ = _plateau_problem()
+        _, ref = skpik_solve(fresh, config.tol, config.trunc_tol)
+    switched_at = report.extra["switched_at"]
+    assert switched_at is not None and switched_at % POLE_WINDOW == 0
+    assert switched_at == ref.extra["switched_at"]
+    assert (report.iterations, report.rank, report.residual) == (
+        ref.iterations, ref.rank, ref.residual
+    )
+
+
+def test_pole_space_is_orthonormal_and_projects_exactly():
+    # U holds the forward, inverse and pole blocks; T, M_a and K_a are its
+    # projections of A, M and K_s
+    ops, config, grid, yd = _mesh_problem(cells=6, m_t=3, sigma=1.0, beta=1e-2)
+    problem = _problem(ops, config, grid, yd)
+    state = skpik_init(problem, pole=problem.w)
+    space = state.space
+    assert space.pole == problem.w
+    space.grow(4, problem, state.phases)
+    u = space.basis
+    assert not space.closed and space.dims[0] == 3 * problem.seed.shape[1]
+    assert np.linalg.norm(u.T @ u - np.eye(space.dim)) <= 1e-13
+    k_s = (ops.stiffness + problem.shift * ops.mass).toarray()
+    np.testing.assert_allclose(space.image, problem.apply_a(u), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(space.t, u.T @ _dense_a(ops, problem.shift) @ u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(space.m_a, u.T @ (ops.mass @ u), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(space.k_a, u.T @ k_s @ u, rtol=0, atol=1e-12)
+    # the pole block of prefix 0 spans (A + w I)^{-1} R1 with the rest
+    a_pole = _dense_a(ops, problem.shift) + problem.w * np.eye(ops.n)
+    resolvent = np.linalg.solve(a_pole, problem.r1)
+    outside = resolvent - u[:, : space.dims[0]] @ (u[:, : space.dims[0]].T @ resolvent)
+    assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(resolvent)
+
+
+def test_pole_space_closes_once_its_pole_block_deflates():
+    # on 9 nodes the pole space fills an invariant subspace of A and closes
+    # with all three blocks empty; it stays open while its pole block holds
+    # columns, even with the other two blocks empty
+    ops, config, grid, yd = _mesh_problem(cells=2, m_t=2, sigma=1.0, beta=1e-2)
+    problem = _problem(ops, config, grid, yd)
+    state = skpik_init(problem, pole=problem.w)
+    space = state.space
+    last = space.grow(50, problem, state.phases)
+    assert space.closed and last < 50 and space.dims[last] == space.dim <= ops.n
+    assert space.block_inv.shape[1] == space.block_pole.shape[1] == 0
+    u = space.basis
+    a_u = _dense_a(ops, problem.shift) @ u
+    assert np.linalg.norm(a_u - u @ (u.T @ a_u)) <= 1e-12 * np.linalg.norm(a_u)
+    space.block_pole = problem.seed
+    assert not space.closed
 
 
 def test_solve_stop_reason_space_exhausted():

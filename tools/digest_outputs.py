@@ -17,10 +17,13 @@ repr of its residual and a hash of its outputs, which are
 
 A last line per workload hashes all of its lines and gives its
 ``rank_total``, the sum of the ranks its points return.  ``diff`` of the
-output of two trees lists every output that moved.  With
-``--histories`` each skpik solve of desk-skpik and cli-file (the sweep's
-points included) then prints its projected-residual history on a line
-of its own, in call order: the reprs of its entries, ``nan`` for a
+output of two trees lists every output that moved.  Each skpik solve of
+desk-skpik and cli-file (the sweep's points included) then prints its
+pole on a line of its own, in call order: the repr of
+``extra["pole"]``, or ``-`` when the solve stayed on the extended Krylov
+space (or its tree has no pole), so a diff of two trees names the solves
+that switched.  With ``--histories`` each such line also gives the
+projected-residual history: the reprs of its entries, ``nan`` for a
 sweep the search skipped.  These lines are not hashed, so a diff of two
 trees lists every history entry that moved.  The working files of
 cli-file go to a temporary directory, removed at the end.
@@ -105,18 +108,23 @@ def cli_file(workload, records):
 DIGESTS = {"desk-skpik": desk_skpik, "baselines-961": baselines_961, "cli-file": cli_file}
 
 
-def record_histories() -> list[str]:
-    """Make every skpik_solve, the CLI's included, append a line with its history to the list."""
+def record_solves(histories: bool) -> list[str]:
+    """Make every skpik_solve, the CLI's included, append a line with its pole to the list,
+    and with its history too if ``histories``."""
     lines = []
     solve = SK.skpik_solve
 
     def recorded(problem, *args, **kwargs):
         x, report = solve(problem, *args, **kwargs)
-        entries = " ".join(repr(h) for h in report.residual_history)
-        lines.append(
-            f"history {len(lines)} n={problem.n} mT={problem.m_t} "
-            f"g={float(problem.g)!r} w={float(problem.w)!r} | {entries}"
+        pole = report.extra.get("pole")
+        line = (
+            f"solve {len(lines)} n={problem.n} mT={problem.m_t} "
+            f"g={float(problem.g)!r} w={float(problem.w)!r} | "
+            f"pole {'-' if pole is None else repr(float(pole))}"
         )
+        if histories:
+            line += " | " + " ".join(repr(h) for h in report.residual_history)
+        lines.append(line)
         return x, report
 
     SK.skpik_solve = CLI.skpik_solve = recorded
@@ -131,7 +139,7 @@ def main(argv=None) -> int:
     ap.add_argument("--histories", action="store_true",
                     help="also print each skpik solve's projected-residual history")
     args = ap.parse_args(argv)
-    histories = record_histories() if args.histories else []
+    solves = record_solves(args.histories)
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload or list(DIGESTS):
             workload = WORKLOADS[name](args.seed, Path(tmp) / name)
@@ -143,9 +151,9 @@ def main(argv=None) -> int:
             rank_total = sum(r["rank"] or 0 for r in records)
             print(f"{name} | all {len(lines)} lines | {_hash(*lines)} | rank_total {rank_total}",
                   flush=True)
-            for line in histories:
+            for line in solves:
                 print(f"{name} | {line}", flush=True)
-            histories.clear()
+            solves.clear()
     return 0
 
 
